@@ -1,8 +1,7 @@
 """Scaling of the parallel execution engine (docs/parallelism.md).
 
-Measures the two pooled pipeline stages — the functional profiling pass
-and the cycle-accurate simulation of a plan's representatives — at 1, 2
-and 4 workers on a >=512-frame trace, and records the speedups in
+Measures the pooled functional profiling pass at 1, 2 and 4 workers on
+a >=512-frame trace, and records the speedups in
 ``benchmarks/reports/parallel_scaling.txt``.
 
 The >=2x-at-4-workers claim is asserted only when the host actually has
@@ -14,14 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.sampler import MEGsim
 from repro.obs import span
-from repro.parallel import (
-    ParallelConfig,
-    available_cpus,
-    profile_parallel,
-    simulate_representatives,
-)
+from repro.parallel import ParallelConfig, available_cpus, profile_parallel
 from repro.workloads.benchmarks import make_benchmark
 
 #: Worker counts measured (1 is the serial reference).
@@ -39,11 +32,6 @@ def trace():
     return workload
 
 
-@pytest.fixture(scope="module")
-def plan(trace):
-    return MEGsim().plan_from_profile(profile_parallel(trace))
-
-
 def _best_seconds(fn) -> float:
     best = float("inf")
     for _ in range(ROUNDS):
@@ -53,9 +41,9 @@ def _best_seconds(fn) -> float:
     return best
 
 
-def _scaling_table(stage: str, timings: dict[int, float]) -> list[str]:
+def _scaling_table(timings: dict[int, float]) -> list[str]:
     serial = timings[1]
-    lines = [f"{stage}:"]
+    lines = ["functional profile:"]
     for jobs in WORKER_COUNTS:
         speedup = serial / timings[jobs] if timings[jobs] > 0 else float("inf")
         lines.append(
@@ -65,7 +53,7 @@ def _scaling_table(stage: str, timings: dict[int, float]) -> list[str]:
     return lines
 
 
-def test_parallel_scaling(trace, plan, report_sink):
+def test_parallel_scaling(trace, report_sink):
     cpus = available_cpus()
     profile_times = {
         jobs: _best_seconds(
@@ -75,30 +63,17 @@ def test_parallel_scaling(trace, plan, report_sink):
         )
         for jobs in WORKER_COUNTS
     }
-    simulate_times = {
-        jobs: _best_seconds(
-            lambda jobs=jobs: simulate_representatives(
-                trace,
-                plan.representative_frames,
-                parallel=ParallelConfig(jobs=jobs),
-            )
-        )
-        for jobs in WORKER_COUNTS
-    }
 
     lines = [
         "Parallel scaling (docs/parallelism.md)",
         f"trace: {trace.name}, {trace.frame_count} frames; "
-        f"{plan.selected_frame_count} representatives; "
         f"{cpus} CPU(s) available; best of {ROUNDS} rounds",
         "",
     ]
-    lines += _scaling_table("functional profile", profile_times)
-    lines += _scaling_table("representative simulation", simulate_times)
+    lines += _scaling_table(profile_times)
     report_sink("parallel_scaling", "\n".join(lines))
 
-    # Sanity either way: the pooled paths completed and were timed.
+    # Sanity either way: the pooled path completed and was timed.
     assert all(seconds > 0 for seconds in profile_times.values())
-    assert all(seconds > 0 for seconds in simulate_times.values())
     if cpus >= 4:
         assert profile_times[1] / profile_times[4] >= 2.0

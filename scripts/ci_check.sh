@@ -22,6 +22,12 @@ fi
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+# The end-to-end benchmark driver imports the program's public API, so
+# a change to that API can break it; its self-tests (own pytest.ini)
+# run a tiny pass with every check.
+echo "== e2e benchmark self-tests =="
+python -m pytest -q benchmarks/e2e
+
 # The determinism contract (docs/parallelism.md) must hold whichever
 # worker count MEGSIM_JOBS selects, so the cross-check suite runs once
 # serially and once with every available CPU.

@@ -76,7 +76,7 @@ class LintConfig:
             (the content-addressed store — "filesystem access outside
             ``repro.store``" is the MEG010 wording).
         stages_module: the pipeline stage table MEG010 walks.
-        db_module: the migration chain MEG013 parses.
+        db_module: the migration chain MEG013 checks.
         worker_entrypoints: canonical dotted names of functions that
             ship their callable argument to worker processes (MEG012).
     """

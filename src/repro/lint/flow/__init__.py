@@ -19,7 +19,8 @@ Three consumer rules sit on top of the summaries:
   neither touch ambient state nor mutate shared module globals.
 
 **MEG013** (migration lint) rides along in :mod:`repro.lint.flow.migrations`:
-it statically parses the SQL DDL of the service's migration chain.
+it checks the service's migration chain is contiguous, uses only
+allow-listed DDL, and executes cleanly in an in-memory SQLite database.
 
 The analysis is deliberately conservative on dynamic dispatch: method
 calls whose receiver type cannot be resolved fan out to every project

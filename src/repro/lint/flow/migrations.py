@@ -1,4 +1,4 @@
-"""MEG013: the migration chain is contiguous, parseable and sound.
+"""MEG013: the migration chain is contiguous, allow-listed and executable.
 
 The service's schema lives as SQL string literals in ``MIGRATIONS``
 (``src/repro/service/db.py``).  This rule lifts those literals out of
@@ -7,20 +7,19 @@ the AST (no import of the service layer), then verifies three things:
 1. **Contiguity / append-only** — versions are exactly ``1..N`` with
    ``N == SCHEMA_VERSION``; a gap, a version ``<= 0``, or a
    ``SCHEMA_VERSION`` that does not match the chain head is a finding.
-2. **Static soundness** — a small DDL parser replays the chain against
-   a symbolic schema: ``CREATE TABLE`` must not collide, ``ALTER TABLE
-   ... ADD COLUMN`` must target an existing table and a fresh column,
-   ``CREATE INDEX`` must target existing tables/columns, and any
-   statement the parser does not recognize is itself a finding (the
-   chain must stay simple enough to audit).
-3. **Executable agreement** — the same statements are applied to an
-   in-memory SQLite database and the introspected tables/columns/
-   indexes must equal the symbolic schema.  This catches everything the
-   static parser is too naive for: if the regexes and SQLite disagree
-   about what the DDL means, that disagreement is the finding.
+2. **Allow-listed DDL** — every statement starts with ``CREATE TABLE``,
+   ``ALTER TABLE ... ADD [COLUMN]``, ``CREATE [UNIQUE] INDEX``,
+   ``DROP TABLE`` or ``DROP INDEX`` (the chain must stay simple enough
+   to audit).  ``IF NOT EXISTS`` is rejected too: it would turn a
+   collision into a silent no-op.
+3. **Executes cleanly** — the chain is applied in order to an in-memory
+   SQLite database; the first statement that fails is the finding, so
+   SQLite itself reports a duplicate table or column, an ``ALTER`` of a
+   missing table, or an index on an unknown column.
 
-Because fresh databases are created by replaying the same chain, (2)
-and (3) together are the "fresh schema == migrated schema" guarantee.
+Because fresh databases are created by replaying the same chain, a
+chain that executes cleanly from empty is the "fresh schema ==
+migrated schema" guarantee.
 """
 
 from __future__ import annotations
@@ -33,67 +32,19 @@ from typing import Iterator
 from repro.lint.findings import Finding
 from repro.lint.project import Project
 
-_CREATE_TABLE = re.compile(
-    r"^\s*CREATE\s+TABLE\s+(?:IF\s+NOT\s+EXISTS\s+)?(\w+)\s*\((.*)\)\s*$",
-    re.IGNORECASE | re.DOTALL,
-)
-_ALTER_ADD = re.compile(
-    r"^\s*ALTER\s+TABLE\s+(\w+)\s+ADD\s+(?:COLUMN\s+)?(\w+)\s+",
+#: The DDL forms a migration may use; ``IF NOT EXISTS`` is excluded.
+_ALLOWED_DDL = re.compile(
+    r"\s*(?:CREATE\s+TABLE|CREATE\s+(?:UNIQUE\s+)?INDEX"
+    r"|ALTER\s+TABLE\s+\w+\s+ADD|DROP\s+(?:TABLE|INDEX))"
+    r"(?!\s+IF\s+NOT\s+EXISTS\b)\s",
     re.IGNORECASE,
 )
-_CREATE_INDEX = re.compile(
-    r"^\s*CREATE\s+(?:UNIQUE\s+)?INDEX\s+(?:IF\s+NOT\s+EXISTS\s+)?(\w+)"
-    r"\s+ON\s+(\w+)\s*\(([^)]*)\)\s*$",
-    re.IGNORECASE,
-)
-_DROP_TABLE = re.compile(
-    r"^\s*DROP\s+TABLE\s+(?:IF\s+EXISTS\s+)?(\w+)\s*$", re.IGNORECASE
-)
-_DROP_INDEX = re.compile(
-    r"^\s*DROP\s+INDEX\s+(?:IF\s+EXISTS\s+)?(\w+)\s*$", re.IGNORECASE
-)
-
-#: Leading keywords of table-level constraint clauses (not columns).
-_CONSTRAINT_KEYWORDS = frozenset(
-    {"PRIMARY", "FOREIGN", "UNIQUE", "CHECK", "CONSTRAINT"}
-)
 
 
-def _split_columns(body: str) -> list[str]:
-    """Top-level comma split of a CREATE TABLE column list."""
-    parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for char in body:
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        if char == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(char)
-    if current:
-        parts.append("".join(current))
-    return [part.strip() for part in parts if part.strip()]
-
-
-class _Schema:
-    """The symbolic schema a migration chain builds up."""
-
-    def __init__(self) -> None:
-        self.tables: dict[str, list[str]] = {}
-        self.indexes: dict[str, str] = {}  # index -> table
-
-    def snapshot(self) -> dict:
-        return {
-            "tables": {
-                name: sorted(columns)
-                for name, columns in self.tables.items()
-            },
-            "indexes": dict(sorted(self.indexes.items())),
-        }
+def _prefix(statement: str) -> str:
+    """The statement on one line, cut to 60 characters."""
+    text = " ".join(statement.split())
+    return f"{text[:60]}{'...' if len(text) > 60 else ''}"
 
 
 def extract_migrations(
@@ -101,8 +52,8 @@ def extract_migrations(
 ) -> tuple[dict[int, list[str]], int | None]:
     """``MIGRATIONS`` literal and ``SCHEMA_VERSION`` from the module AST.
 
-    Non-literal keys/statements are skipped (the executable cross-check
-    still sees whatever *is* literal); a missing table returns ``{}``.
+    Non-literal keys/statements are skipped (the SQLite run still sees
+    whatever *is* literal); a missing table returns ``{}``.
     """
     migrations: dict[int, list[str]] = {}
     schema_version: int | None = None
@@ -148,8 +99,8 @@ class MigrationChainRule:
     rule_id = "MEG013"
     name = "migration-chain"
     summary = (
-        "the service migration chain must be contiguous, statically "
-        "parseable, and agree with SQLite about the schema it builds"
+        "the service migration chain must be contiguous, append-only, "
+        "allow-listed DDL that executes cleanly in SQLite"
     )
 
     def check(self, project: Project) -> Iterator[Finding]:
@@ -165,11 +116,10 @@ class MigrationChainRule:
         yield from self._contiguity(
             source.relpath, migrations, schema_version
         )
-        schema = _Schema()
-        problems = list(self._replay(source.relpath, migrations, schema))
+        problems = list(self._allow_list(source.relpath, migrations))
         yield from problems
         if not problems:
-            yield from self._cross_check(source.relpath, migrations, schema)
+            yield from self._execute(source.relpath, migrations)
 
     def _finding(self, path: str, line: int, message: str) -> Finding:
         return Finding(
@@ -204,110 +154,22 @@ class MigrationChainRule:
                 "never edit a shipped one)",
             )
 
-    # -- static replay -------------------------------------------------
-
-    def _replay(
-        self,
-        path: str,
-        migrations: dict[int, list[str]],
-        schema: _Schema,
+    def _allow_list(
+        self, path: str, migrations: dict[int, list[str]]
     ) -> Iterator[Finding]:
         for version in sorted(migrations):
             for statement in migrations[version]:
-                yield from self._apply(path, version, statement, schema)
-
-    def _apply(
-        self, path: str, version: int, statement: str, schema: _Schema
-    ) -> Iterator[Finding]:
-        text = " ".join(statement.split())
-        match = _CREATE_TABLE.match(text)
-        if match:
-            table, body = match.group(1), match.group(2)
-            if table in schema.tables:
-                yield self._finding(
-                    path, 0,
-                    f"v{version}: CREATE TABLE {table} but the table "
-                    "already exists",
-                )
-                return
-            columns = [
-                part.split()[0]
-                for part in _split_columns(body)
-                if part.split()[0].upper() not in _CONSTRAINT_KEYWORDS
-            ]
-            schema.tables[table] = columns
-            return
-        match = _ALTER_ADD.match(text)
-        if match:
-            table, column = match.group(1), match.group(2)
-            if table not in schema.tables:
-                yield self._finding(
-                    path, 0,
-                    f"v{version}: ALTER TABLE {table} but the table "
-                    "does not exist at that point in the chain",
-                )
-            elif column in schema.tables[table]:
-                yield self._finding(
-                    path, 0,
-                    f"v{version}: ALTER TABLE {table} ADD COLUMN "
-                    f"{column} but the column already exists",
-                )
-            else:
-                schema.tables[table].append(column)
-            return
-        match = _CREATE_INDEX.match(text)
-        if match:
-            index, table, columns = match.groups()
-            if index in schema.indexes:
-                yield self._finding(
-                    path, 0,
-                    f"v{version}: CREATE INDEX {index} but the index "
-                    "already exists",
-                )
-                return
-            if table not in schema.tables:
-                yield self._finding(
-                    path, 0,
-                    f"v{version}: CREATE INDEX {index} on unknown "
-                    f"table {table}",
-                )
-                return
-            for column in (c.strip() for c in columns.split(",")):
-                if column and column not in schema.tables[table]:
+                if not _ALLOWED_DDL.match(statement):
                     yield self._finding(
                         path, 0,
-                        f"v{version}: index {index} names unknown "
-                        f"column {table}.{column}",
+                        f"v{version}: unrecognized DDL statement "
+                        f"'{_prefix(statement)}' — keep the chain to "
+                        "CREATE TABLE / ALTER TABLE ADD COLUMN / "
+                        "CREATE INDEX / DROP, without IF NOT EXISTS",
                     )
-            schema.indexes[index] = table
-            return
-        match = _DROP_TABLE.match(text)
-        if match:
-            table = match.group(1)
-            schema.tables.pop(table, None)
-            for index, owner in list(schema.indexes.items()):
-                if owner == table:
-                    del schema.indexes[index]
-            return
-        match = _DROP_INDEX.match(text)
-        if match:
-            schema.indexes.pop(match.group(1), None)
-            return
-        yield self._finding(
-            path, 0,
-            f"v{version}: unrecognized DDL statement "
-            f"'{text[:60]}{'...' if len(text) > 60 else ''}' — keep the "
-            "chain to CREATE TABLE / ALTER TABLE ADD COLUMN / "
-            "CREATE INDEX / DROP",
-        )
 
-    # -- executable cross-check ---------------------------------------
-
-    def _cross_check(
-        self,
-        path: str,
-        migrations: dict[int, list[str]],
-        schema: _Schema,
+    def _execute(
+        self, path: str, migrations: dict[int, list[str]]
     ) -> Iterator[Finding]:
         connection = sqlite3.connect(":memory:")
         try:
@@ -318,35 +180,9 @@ class MigrationChainRule:
                     except sqlite3.Error as exc:
                         yield self._finding(
                             path, 0,
-                            f"v{version}: statement fails to execute "
-                            f"({exc})",
+                            f"v{version}: '{_prefix(statement)}' fails "
+                            f"to execute ({exc})",
                         )
                         return
-            actual = self._introspect(connection)
         finally:
             connection.close()
-        expected = schema.snapshot()
-        if actual != expected:
-            yield self._finding(
-                path, 0,
-                "static schema model and executed chain disagree: "
-                f"parsed {expected} but SQLite built {actual}",
-            )
-
-    @staticmethod
-    def _introspect(connection: sqlite3.Connection) -> dict:
-        tables: dict[str, list[str]] = {}
-        indexes: dict[str, str] = {}
-        rows = connection.execute(
-            "SELECT name, type, tbl_name FROM sqlite_master "
-            "WHERE name NOT LIKE 'sqlite_%' ORDER BY name"
-        ).fetchall()
-        for name, kind, owner in rows:
-            if kind == "table":
-                columns = connection.execute(
-                    f"PRAGMA table_info({name})"
-                ).fetchall()
-                tables[name] = sorted(row[1] for row in columns)
-            elif kind == "index":
-                indexes[name] = owner
-        return {"tables": tables, "indexes": indexes}

@@ -13,11 +13,10 @@ to the serial run (the contract, and how it is kept, is documented in
   :class:`~repro.obs.ObsBuffer` and is merged into the parent collector.
 * :func:`profile_parallel` — the functional pass, fanned out in frame
   chunks (layer 1 of the pipeline).
-* :func:`simulate_representatives` — cycle-accurate simulation of a
-  sampling plan's representatives, one independent frame per task
-  (layer 2).
 
-Whole-experiment fan-out (layer 3) lives with the entry points that own
+Representatives are cycle-simulated in one call by the pipeline's
+``representatives`` stage, which the pool does not fan out.
+Whole-experiment fan-out (layer 2) lives with the entry points that own
 the experiment list: ``megsim all --jobs N`` and
 ``scripts/run_full_experiments.py --jobs N`` dispatch experiments
 through :func:`parallel_map` directly.
@@ -25,21 +24,19 @@ through :func:`parallel_map` directly.
 Quickstart::
 
     from repro import MEGsim
-    from repro.parallel import (
-        ParallelConfig, profile_parallel, simulate_representatives,
-    )
+    from repro.gpu.cycle_sim import CycleAccurateSimulator
+    from repro.parallel import ParallelConfig, profile_parallel
     from repro.workloads.benchmarks import make_benchmark
 
     trace = make_benchmark("bbr1", scale=0.2)
     jobs = ParallelConfig.from_cli("auto")
     profile = profile_parallel(trace, parallel=jobs)
     plan = MEGsim().plan_from_profile(profile)
-    reps = simulate_representatives(
-        trace, plan.representative_frames, parallel=jobs)
+    reps = CycleAccurateSimulator().simulate(
+        trace, frame_ids=plan.representative_frames)
     estimate = plan.estimate(dict(zip(reps.frame_ids, reps.frame_stats)))
 """
 
-from repro.parallel.accurate import simulate_representatives
 from repro.parallel.config import (
     JOBS_ENV_VAR,
     ParallelConfig,
@@ -59,5 +56,4 @@ __all__ = [
     "parallel_map",
     "profile_parallel",
     "resolve_jobs",
-    "simulate_representatives",
 ]

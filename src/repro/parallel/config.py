@@ -1,8 +1,7 @@
 """Parallel execution configuration: worker count and chunking.
 
 One :class:`ParallelConfig` drives every pooled stage of the pipeline
-(functional profiling, representative simulation, whole-experiment
-fan-out).  ``jobs=1`` is the serial fallback — the pool machinery is
+(functional profiling, whole-experiment fan-out).  ``jobs=1`` is the serial fallback — the pool machinery is
 bypassed entirely and work runs inline, which is also the reference
 point of the determinism contract (see ``docs/parallelism.md``): for any
 jobs value the merged results are byte-identical to the ``jobs=1`` run.

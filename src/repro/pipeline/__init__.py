@@ -5,8 +5,9 @@ profiling, sampling-plan construction, ground-truth cycle simulation,
 representative simulation, extrapolation — decomposed into six typed
 stages (:mod:`repro.pipeline.stages`), each declaring its inputs, its
 upstream dependencies and a deterministic fingerprint, executed against
-the content-addressed artifact store (:mod:`repro.store`) by
-:func:`run_pipeline`.  ``docs/pipeline.md`` documents the stage graph
+the content-addressed artifact store (:mod:`repro.store`) by one
+executor, :func:`materialize_stage`; :func:`run_pipeline` applies it to
+every stage in order.  ``docs/pipeline.md`` documents the stage graph
 and the fingerprint rules.
 
 :func:`repro.analysis.runner.evaluate_benchmark` is a thin composition

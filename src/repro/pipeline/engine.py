@@ -1,18 +1,20 @@
 """Stage execution against the artifact store.
 
-:func:`run_pipeline` walks :data:`~repro.pipeline.stages.STAGES` in
-order, trying the store before computing: a stage whose fingerprint is
-already present — put there by an earlier call, another process, or a
-:mod:`repro.parallel` worker — is decoded instead of recomputed.  Each
+:func:`materialize_stage` is the one executor: it produces a single
+stage's artifact, trying the store before computing — a stage whose
+fingerprint is already present (put there by an earlier call, another
+process, or a :mod:`repro.parallel` worker) is decoded instead of
+recomputed — and recursing into upstream stages only on a miss.  Each
 stage runs under a ``pipeline.<name>`` span and reports
 ``pipeline.hits.<name>`` / ``pipeline.computed.<name>`` counters, so a
-trace shows exactly which work a warm store absorbed.
+trace shows exactly which work a warm store absorbed.  The experiment
+service (:mod:`repro.service`) shards one evaluation into six
+fingerprint-keyed jobs with it.
 
-:func:`materialize_stage` is the single-stage counterpart used by the
-experiment service (:mod:`repro.service`): it produces exactly one
-stage's artifact, recursing into upstream stages only on store misses —
-the primitive that lets one evaluation be sharded into six
-fingerprint-keyed jobs executed by independent workers sharing a store.
+:func:`run_pipeline` is :func:`materialize_stage` over every stage in
+:data:`~repro.pipeline.stages.STAGES` order.  Each stage's upstreams
+are already materialized when it runs, so nothing recurses and the six
+``pipeline.<name>`` spans are siblings.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from repro.obs import counter, span
 from repro.pipeline.request import PipelineRequest
 from repro.pipeline.stages import STAGES, stage_fingerprints
 from repro.store import ArtifactStore
+
+_STAGES_BY_NAME = {stage.name: stage for stage in STAGES}
 
 
 def run_pipeline(
@@ -46,23 +50,7 @@ def run_pipeline(
     fps = fingerprints if fingerprints is not None else stage_fingerprints(request)
     artifacts: dict[str, Any] = {}
     for stage in STAGES:
-        fp = fps[stage.name]
-        with span(
-            f"pipeline.{stage.name}",
-            benchmark=request.alias,
-            fingerprint=fp[:12],
-        ):
-            obj = None
-            if store is not None and stage.persist:
-                obj = store.get(stage.kind, fp, decode=stage.decode)
-            if obj is None:
-                obj = stage.compute(request, artifacts)
-                counter(f"pipeline.computed.{stage.name}")
-                if store is not None and stage.persist:
-                    store.put(stage.kind, fp, obj, encode=stage.encode)
-            else:
-                counter(f"pipeline.hits.{stage.name}")
-        artifacts[stage.name] = obj
+        materialize_stage(request, stage.name, store, fps, _artifacts=artifacts)
     return artifacts
 
 
@@ -78,12 +66,8 @@ def materialize_stage(
     The store is consulted first; a hit decodes and returns without
     touching any upstream stage.  On a miss the required upstream
     artifacts are materialized the same way (recursively), the stage is
-    computed, and the result is persisted.  Counters and spans match
-    :func:`run_pipeline` (``pipeline.hits.<name>`` /
-    ``pipeline.computed.<name>`` under a ``pipeline.<name>`` span), so
-    sharded execution reports the same work totals as monolithic
-    execution — recursively materialized upstreams nest under the
-    requesting stage's span instead of appearing as siblings.
+    computed, and the result is persisted.  Recursively materialized
+    upstreams nest under the requesting stage's span.
 
     Args:
         request: the resolved evaluation inputs.
@@ -97,13 +81,12 @@ def materialize_stage(
     Raises:
         ConfigError: on an unknown stage name.
     """
-    by_name = {stage.name: stage for stage in STAGES}
-    if name not in by_name:
+    if name not in _STAGES_BY_NAME:
         raise ConfigError(
             f"unknown pipeline stage {name!r}; expected one of "
-            f"{', '.join(by_name)}"
+            f"{', '.join(_STAGES_BY_NAME)}"
         )
-    stage = by_name[name]
+    stage = _STAGES_BY_NAME[name]
     fps = fingerprints if fingerprints is not None else stage_fingerprints(request)
     artifacts = _artifacts if _artifacts is not None else {}
     if name in artifacts:

@@ -1,4 +1,4 @@
-"""MEG013: migration-chain contiguity, static replay, SQLite agreement."""
+"""MEG013: migration-chain contiguity, DDL allow-list, SQLite execution."""
 
 from __future__ import annotations
 
@@ -83,7 +83,7 @@ class TestMigrationChain:
             select=("MEG013",),
         )
         assert rule_ids(result) == ["MEG013"]
-        assert "column already exists" in messages(result)
+        assert "duplicate column name: state" in messages(result)
 
     def test_duplicate_create_table_is_a_finding(self, lint_fixture):
         result = lint_fixture(
@@ -96,7 +96,7 @@ class TestMigrationChain:
             select=("MEG013",),
         )
         assert rule_ids(result) == ["MEG013"]
-        assert "table already exists" in messages(result)
+        assert "table jobs already exists" in messages(result)
 
     def test_index_on_unknown_column_is_a_finding(self, lint_fixture):
         result = lint_fixture(
@@ -109,7 +109,7 @@ class TestMigrationChain:
             select=("MEG013",),
         )
         assert "MEG013" in rule_ids(result)
-        assert "unknown column jobs.ghost_column" in messages(result)
+        assert "no such column: ghost_column" in messages(result)
 
     def test_unrecognized_ddl_is_a_finding(self, lint_fixture):
         result = lint_fixture(
@@ -124,9 +124,25 @@ class TestMigrationChain:
         assert rule_ids(result) == ["MEG013"]
         assert "unrecognized DDL statement" in messages(result)
 
+    def test_create_table_if_not_exists_is_a_finding(self, lint_fixture):
+        # SQLite would silently skip the collision, so the allow-list
+        # rejects IF NOT EXISTS outright.
+        result = lint_fixture(
+            db_module(
+                """{
+                    1: ("CREATE TABLE jobs (id INTEGER PRIMARY KEY)",),
+                    2: ("CREATE TABLE IF NOT EXISTS jobs (id INTEGER PRIMARY KEY)",),
+                }""",
+            ),
+            select=("MEG013",),
+        )
+        assert rule_ids(result) == ["MEG013"]
+        text = messages(result)
+        assert "unrecognized DDL statement" in text
+        assert "IF NOT EXISTS jobs" in text
+
     def test_statement_sqlite_rejects_is_a_finding(self, lint_fixture):
-        # Parses statically (the regex is naive about column syntax) but
-        # fails to execute — the cross-check catches the disagreement.
+        # Passes the leading-keyword allow-list but fails to execute.
         result = lint_fixture(
             db_module(
                 """{

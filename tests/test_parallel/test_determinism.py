@@ -15,11 +15,7 @@ import pytest
 
 from repro.core.sampler import MEGsim
 from repro.gpu.functional_sim import FunctionalSimulator
-from repro.parallel import (
-    ParallelConfig,
-    profile_parallel,
-    simulate_representatives,
-)
+from repro.parallel import ParallelConfig, profile_parallel
 
 
 def _assert_sequence_profiles_equal(left, right) -> None:
@@ -97,44 +93,3 @@ class TestPlanDeterminism:
             serial_plan.to_dict(), sort_keys=True
         )
 
-
-class TestSimulationDeterminism:
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_frame_stats_match_serial(self, phased_trace, serial_plan, jobs):
-        frame_ids = serial_plan.representative_frames
-        serial = simulate_representatives(
-            phased_trace, frame_ids, parallel=ParallelConfig(jobs=1)
-        )
-        pooled = simulate_representatives(
-            phased_trace, frame_ids, parallel=ParallelConfig(jobs=jobs)
-        )
-        assert pooled.frame_ids == serial.frame_ids
-        assert pooled.frame_stats == serial.frame_stats
-
-    def test_warmup_is_deterministic_too(self, phased_trace, serial_plan):
-        frame_ids = serial_plan.representative_frames
-        serial = simulate_representatives(
-            phased_trace, frame_ids, warmup_frames=2,
-            parallel=ParallelConfig(jobs=1),
-        )
-        pooled = simulate_representatives(
-            phased_trace, frame_ids, warmup_frames=2,
-            parallel=ParallelConfig.from_cli(None),
-        )
-        assert pooled.frame_stats == serial.frame_stats
-
-    def test_estimates_match_serial(self, phased_trace, serial_plan):
-        frame_ids = serial_plan.representative_frames
-        serial = simulate_representatives(
-            phased_trace, frame_ids, parallel=ParallelConfig(jobs=1)
-        )
-        pooled = simulate_representatives(
-            phased_trace, frame_ids, parallel=ParallelConfig(jobs=2)
-        )
-        reference = serial_plan.estimate(
-            dict(zip(serial.frame_ids, serial.frame_stats))
-        )
-        estimate = serial_plan.estimate(
-            dict(zip(pooled.frame_ids, pooled.frame_stats))
-        )
-        assert estimate == reference
