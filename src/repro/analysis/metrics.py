@@ -34,3 +34,12 @@ def percentile_abs_error(errors: np.ndarray, confidence: float = 95.0) -> float:
     # confidence rank, not an interpolated value that would blend in the
     # discarded tail.
     return float(np.percentile(np.abs(errors), confidence, method="lower"))
+
+
+def failed_claims(checks: dict[str, bool]) -> list[str]:
+    """The paper-shape claims that did not hold.
+
+    ``checks`` maps a human-readable claim (with its measured value) to
+    whether it held; the result keeps the failing claims in order.
+    """
+    return [claim for claim, held in checks.items() if not held]

@@ -5,10 +5,12 @@ experiment pipeline (``megsim bench`` on the command line):
 
 * :data:`BENCHES` / :class:`BenchSpec` / :class:`BenchOutcome` — the
   registry of named, parameterized benchmarks wrapping the paper's
-  experiments (:mod:`repro.bench.registry`).
+  experiments, plus the per-suite default scales :data:`SUITE_SCALES` /
+  :func:`suite_scale` (:mod:`repro.bench.registry`).
 * :func:`run_suite` / :func:`write_artifact` /
   :func:`render_bench_report` — run a suite (``smoke`` or ``full``) and
-  emit a schema-versioned ``BENCH_<suite>.json`` artifact whose
+  emit a schema-versioned ``BENCH_<suite>.json`` artifact
+  (:func:`artifact_name`) whose
   deterministic *results* section is byte-identical for any ``--jobs``
   value (:mod:`repro.bench.harness`).
 * :func:`compare_artifacts` / :func:`regressions` /
@@ -39,16 +41,19 @@ from repro.bench.compare import (
 from repro.bench.harness import (
     BENCH_SCHEMA,
     BENCH_SCHEMA_VERSION,
+    artifact_name,
     render_bench_report,
     run_suite,
     write_artifact,
 )
 from repro.bench.registry import (
     BENCHES,
+    SUITE_SCALES,
     SUITES,
     BenchOutcome,
     BenchSpec,
     bench_names,
+    suite_scale,
 )
 
 __all__ = [
@@ -60,6 +65,8 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "Delta",
     "SUITES",
+    "SUITE_SCALES",
+    "artifact_name",
     "bench_names",
     "compare_artifacts",
     "load_artifact",
@@ -67,5 +74,6 @@ __all__ = [
     "render_bench_report",
     "render_comparison",
     "run_suite",
+    "suite_scale",
     "write_artifact",
 ]

@@ -33,8 +33,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.bench.registry import BENCHES, bench_names
-from repro.benchmark_support import suite_scale
+from repro.bench.registry import BENCHES, bench_names, suite_scale
 from repro.core.sampler import MEGsimOptions
 from repro.errors import ConfigError
 from repro.gpu.config import CYCLE_BACKENDS, cycle_scope
@@ -162,7 +161,7 @@ def run_suite(
     Args:
         suite: suite name (``"smoke"`` or ``"full"``).
         scale: sequence-length scale; ``None`` uses the suite default
-            (:func:`repro.benchmark_support.suite_scale`).
+            (:func:`repro.bench.registry.suite_scale`).
         parallel: worker-pool configuration; ``None`` runs serially.
         names: explicit benchmark subset; ``None`` runs the whole suite.
         jobs_requested: the raw ``--jobs`` request, recorded in the
@@ -245,6 +244,11 @@ def run_suite(
         "total_wall_seconds": total.elapsed_seconds,
         "manifest": manifest.to_dict(),
     }
+
+
+def artifact_name(suite: str) -> str:
+    """Canonical artifact file name for a suite (``BENCH_<suite>.json``)."""
+    return f"BENCH_{suite}.json"
 
 
 def write_artifact(artifact: dict, path) -> Path:

@@ -1,8 +1,8 @@
 """The benchmark registry: named, parameterized, suite-tagged specs.
 
 Each :class:`BenchSpec` wraps one experiment of the paper's evaluation
-(the same logic the ``benchmarks/bench_*.py`` pytest harness exercises)
-and knows how to distil its :class:`~repro.analysis.experiments.ExperimentResult`
+(the same logic a ``megsim all`` campaign step runs) and knows how to
+distil its :class:`~repro.analysis.experiments.ExperimentResult`
 into a :class:`BenchOutcome` — the split between what is *deterministic*
 (histogram samples, accuracy deltas, work counts: byte-comparable across
 runs and worker counts) and what is *timing* (wall-clock facts, only
@@ -18,12 +18,35 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.analysis.experiments import ExperimentResult, run_experiment
-from repro.errors import ConfigError
+from repro.analysis.experiments import CLAIMS, ExperimentResult, run_experiment
+from repro.errors import AnalysisError, ConfigError
 from repro.gpu.stats import KEY_METRICS
 
 #: The suites a spec can belong to.
 SUITES = ("smoke", "full")
+
+#: Experiments whose :data:`~repro.analysis.experiments.CLAIMS` are
+#: correctness checks that hold at any scale (the accuracy envelope on
+#: hostile phase scripts, bit-identical backends); a bench run fails
+#: when one of them fails.  The other experiments' paper-shape claims are
+#: tuned for the campaign scales 0.2 and 1.0, not the 0.05 smoke suite.
+GATED_EXPERIMENTS = frozenset({"adversarial", "backend_compare"})
+
+#: Default sequence-length scale per suite: ``smoke`` finishes in well
+#: under a minute, ``full`` matches the paper campaign's quick scale
+#: (``megsim all --scale 0.2``).
+SUITE_SCALES: dict[str, float] = {"smoke": 0.05, "full": 0.2}
+
+
+def suite_scale(suite: str, override: float | None = None) -> float:
+    """The sequence-length scale for one ``megsim bench`` run.
+
+    An explicit ``--scale`` override wins; otherwise the suite default
+    from :data:`SUITE_SCALES` applies (1.0 for unknown suites).
+    """
+    if override is not None:
+        return float(override)
+    return SUITE_SCALES.get(suite, 1.0)
 
 
 @dataclass(frozen=True)
@@ -73,11 +96,20 @@ class BenchSpec:
     )
 
     def run(self, scale: float) -> tuple[ExperimentResult, BenchOutcome]:
-        """Run the wrapped experiment and distil its outcome."""
+        """Run the wrapped experiment and distil its outcome.
+
+        Raises:
+            AnalysisError: when the experiment is in
+                :data:`GATED_EXPERIMENTS` and one of its claims failed.
+        """
         kwargs = dict(self.params)
         if self.scaled:
             kwargs["scale"] = scale
         result = run_experiment(self.experiment, **kwargs)
+        if self.experiment in GATED_EXPERIMENTS:
+            failed = CLAIMS[self.experiment](result.data, scale)
+            if failed:
+                raise AnalysisError(f"{self.name}: " + "; ".join(failed))
         return result, self.extract(result)
 
 
@@ -218,7 +250,7 @@ def _extract_backend_compare(result: ExperimentResult) -> BenchOutcome:
         metrics={"frames_checked": [float(row["frames_checked"])
                                     for row in rows.values()]},
         # 1.0 when every benchmark's FrameStats matched bit for bit; the
-        # experiment raises before getting here otherwise, so any value
+        # run raises before getting here otherwise, so any value
         # below 1.0 in an artifact marks a partially-written run.
         accuracy={"parity.identical": float(
             all(row["identical"] for row in rows.values())

@@ -6,7 +6,7 @@ Examples::
     megsim run table3 --scale 0.25    # regenerate Table III, quick
     megsim run fig7 --scale 1.0       # full-length Figure 7
     megsim plan bbr1 --scale 0.2      # show a sampling plan
-    megsim all --scale 0.25           # every experiment, in paper order
+    megsim all --scale 0.2 --out D    # the paper campaign + its claims
     megsim lint                       # static analysis (docs/linting.md)
     megsim bench --suite smoke        # benchmark suite -> BENCH_smoke.json
     megsim cache stats                # artifact-store occupancy
@@ -52,8 +52,13 @@ import os
 import sys
 from pathlib import Path
 
-from repro.analysis.experiments import EXPERIMENTS, run_experiment
-from repro.bench import DEFAULT_THRESHOLD, SUITES
+from repro.analysis.experiments import (
+    CLAIMS,
+    EXPERIMENTS,
+    experiment_kwargs,
+    run_experiment,
+)
+from repro.bench import DEFAULT_THRESHOLD, SUITE_SCALES, SUITES, suite_scale
 from repro.core.sampler import MEGsim, MEGsimOptions
 from repro.errors import ConfigError
 from repro.obs import (
@@ -73,7 +78,6 @@ from repro.parallel import (
     profile_parallel,
     resolve_jobs,
 )
-from repro.benchmark_support import SUITE_SCALES, suite_scale
 from repro.gpu.config import CYCLE_BACKENDS, cycle_scope
 from repro.store import get_store, memory_store, store_scope
 from repro.workloads.benchmarks import benchmark_aliases, make_benchmark
@@ -184,8 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend(run)
     _add_obs(run)
 
-    everything = commands.add_parser("all", help="run every experiment")
+    everything = commands.add_parser(
+        "all", help="run the paper campaign and check its paper-shape claims"
+    )
     _add_scale(everything)
+    everything.add_argument(
+        "--out", default=None, metavar="DIR",
+        help="also write each step's report to DIR/<name>.txt",
+    )
     _add_jobs(everything)
     _add_store(everything)
     _add_backend(everything)
@@ -490,13 +500,31 @@ def _jobs_facts(args: argparse.Namespace) -> tuple[str | None, int | None]:
     return requested, resolved
 
 
-def _experiment_worker(item: tuple[str, float]) -> tuple[str, str]:
-    """Worker for ``megsim all --jobs N``: run one whole experiment."""
-    name, scale = item
-    kwargs = {} if name == "table1" else {"scale": scale}
-    with span("experiment.cli", experiment=name):
-        result = run_experiment(name, **kwargs)
-    return name, result.report
+# megsim: ambient(filesystem)
+def _campaign_step(
+    item: tuple[int, int, str, float, str | None],
+) -> tuple[str, list[str]]:
+    """Worker for ``megsim all``: run one step, check its claims.
+
+    Prints one line before and one after the step, so a hung or slow
+    step is identifiable mid-run, and writes ``<out>/<name>.txt`` as soon
+    as the step finishes (a later step's crash loses no finished report;
+    the file depends only on the step, never on the worker).  Returns
+    the report and the claims that failed.
+    """
+    index, total, name, scale, out = item
+    print(f"[{index}/{total}] {name} ...", flush=True)
+    with span("experiment.cli", experiment=name) as timing:
+        result = run_experiment(name, **experiment_kwargs(name, scale))
+    if out is not None:
+        (Path(out) / f"{name}.txt").write_text(result.report + "\n")
+    print(
+        f"[{index}/{total}] {name} done in {timing.elapsed_seconds:.2f}s",
+        flush=True,
+    )
+    claims = CLAIMS.get(name)
+    failures = claims(result.data, scale) if claims is not None else []
+    return result.report, failures
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -555,6 +583,36 @@ def _resolve_workload_arg(value: str) -> str:
         print(f"registered capture {value} as {ref.name}")
         return ref.name
     return value
+
+
+def _campaign(args: argparse.Namespace) -> int:
+    """The ``megsim all`` paper campaign: every experiment, then its claims.
+
+    Steps run through :func:`~repro.parallel.parallel_map` (inline for
+    ``--jobs 1``); reports print in registry order whatever the
+    completion order.  Exits 1 when any paper-shape claim failed.
+    """
+    names = list(EXPERIMENTS)
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    outcomes = parallel_map(
+        _campaign_step,
+        [(i, len(names), name, args.scale, args.out)
+         for i, name in enumerate(names, 1)],
+        parallel=ParallelConfig.from_cli(args.jobs),
+    )
+    failed = []
+    for name, (report, failures) in zip(names, outcomes):
+        print(report)
+        print()
+        failed += [f"{name}: {claim}" for claim in failures]
+    if failed:
+        print(f"{len(failed)} paper-shape claim(s) failed:")
+        for line in failed:
+            print(f"  {line}")
+        return 1
+    print(f"all {len(names)} steps done; every paper-shape claim holds")
+    return 0
 
 
 def _cache(args: argparse.Namespace) -> int:
@@ -635,7 +693,7 @@ def _run_command(args: argparse.Namespace) -> int:
         return lint_main(argv)
 
     if args.command == "run":
-        kwargs = {} if args.experiment == "table1" else {"scale": args.scale}
+        kwargs = experiment_kwargs(args.experiment, args.scale)
         if args.workload is not None:
             if args.experiment not in ("fig5", "fig6"):
                 raise ConfigError(
@@ -648,41 +706,7 @@ def _run_command(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "all":
-        total = len(EXPERIMENTS)
-        pool = ParallelConfig.from_cli(args.jobs)
-        if pool.jobs > 1:
-            # Whole experiments fan out across workers; reports are
-            # merged and printed in the registry order, so output is
-            # identical to a serial run minus the progress lines.
-            print(
-                f"running {total} experiments across {pool.jobs} workers",
-                flush=True,
-            )
-            outcomes = parallel_map(
-                _experiment_worker,
-                [(name, args.scale) for name in EXPERIMENTS],
-                parallel=pool,
-            )
-            for index, (name, report) in enumerate(outcomes, 1):
-                print(f"[{index}/{total}] {name}", flush=True)
-                print(report)
-                print()
-            return 0
-        for index, name in enumerate(EXPERIMENTS, 1):
-            # One line per experiment (before and after) so a hung or slow
-            # experiment is identifiable mid-run.
-            print(f"[{index}/{total}] {name} ...", flush=True)
-            kwargs = {} if name == "table1" else {"scale": args.scale}
-            with span("experiment.cli", experiment=name) as timing:
-                result = run_experiment(name, **kwargs)
-            print(result.report)
-            print(
-                f"[{index}/{total}] {name} done in "
-                f"{timing.elapsed_seconds:.2f}s",
-                flush=True,
-            )
-            print()
-        return 0
+        return _campaign(args)
 
     if args.command == "plan":
         key = _require_workload_key(args, "plan")
@@ -873,6 +897,7 @@ def _bench(args: argparse.Namespace) -> int:
     """Run a benchmark suite; optionally gate against a baseline."""
     from repro.bench import (
         BENCHES,
+        artifact_name,
         compare_artifacts,
         load_artifact,
         regressions,
@@ -881,7 +906,6 @@ def _bench(args: argparse.Namespace) -> int:
         run_suite,
         write_artifact,
     )
-    from repro.benchmark_support import artifact_name
 
     if args.list_benches:
         for name, spec in BENCHES.items():

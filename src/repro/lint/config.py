@@ -36,7 +36,6 @@ DEFAULT_LAYERS: dict[str, int] = {
     "pipeline": 4,
     "parallel": 5,
     "analysis": 5,
-    "benchmark_support": 6,
     "bench": 6,
     "lint": 6,
     "cli": 6,

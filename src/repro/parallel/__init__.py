@@ -16,10 +16,9 @@ to the serial run (the contract, and how it is kept, is documented in
 
 Representatives are cycle-simulated in one call by the pipeline's
 ``representatives`` stage, which the pool does not fan out.
-Whole-experiment fan-out (layer 2) lives with the entry points that own
-the experiment list: ``megsim all --jobs N`` and
-``scripts/run_full_experiments.py --jobs N`` dispatch experiments
-through :func:`parallel_map` directly.
+Whole-experiment fan-out (layer 2) lives with the entry point that owns
+the experiment list: ``megsim all --jobs N`` dispatches the paper
+campaign's steps through :func:`parallel_map` directly.
 
 Quickstart::
 

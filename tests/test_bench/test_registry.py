@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import EXPERIMENTS, ExperimentResult
+from repro.analysis.experiments import CLAIMS, EXPERIMENTS, ExperimentResult
+import repro.bench.registry as registry
 from repro.bench.registry import (
     BENCHES,
     SUITES,
@@ -12,7 +13,7 @@ from repro.bench.registry import (
     BenchSpec,
     bench_names,
 )
-from repro.errors import ConfigError
+from repro.errors import AnalysisError, ConfigError
 from repro.gpu.stats import KEY_METRICS
 
 
@@ -63,6 +64,17 @@ class TestSpecRun:
         )
         _, outcome = spec.run(1.0)
         assert outcome.metrics == {} and outcome.accuracy == {}
+
+    def test_gated_experiment_fails_on_a_failed_claim(self, monkeypatch):
+        spec = BenchSpec(
+            name="t", experiment="table1", suites=("smoke",),
+            description="d", scaled=False,
+        )
+        monkeypatch.setattr(registry, "GATED_EXPERIMENTS", {"table1"})
+        spec.run(1.0)  # table1's claim holds
+        monkeypatch.setitem(CLAIMS, "table1", lambda data, scale: ["broken"])
+        with pytest.raises(AnalysisError, match="t: broken"):
+            spec.run(1.0)
 
 
 class TestExtractors:

@@ -2,7 +2,11 @@
 
 import pytest
 
+import repro.cli as cli
+from repro.analysis.experiments import ExperimentResult
+from repro.analysis.metrics import failed_claims
 from repro.cli import build_parser, main
+from repro.errors import AnalysisError
 
 
 class TestParser:
@@ -141,3 +145,64 @@ class TestScaleValidation:
 
         with pytest.raises(ConfigError, match="--scale 0.001"):
             main(["plan", "hcr", "--scale", "0.001"])
+
+
+class TestAllCampaign:
+    """``megsim all`` over a faked two-step registry."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Fake registry; returns the ``(name, kwargs)`` of every call."""
+        reports = {"expA": "report A", "expB": "report B\nsecond line"}
+        calls = []
+
+        def run(name, **kwargs):
+            calls.append((name, kwargs))
+            return ExperimentResult(name, {"value": len(calls)}, reports[name])
+
+        monkeypatch.setattr(cli, "EXPERIMENTS", dict.fromkeys(reports))
+        monkeypatch.setattr(cli, "run_experiment", run)
+        monkeypatch.setattr(cli, "CLAIMS", {})
+        return calls
+
+    def test_out_writes_each_printed_report(self, calls, capsys, tmp_path):
+        out = tmp_path / "reports"
+        assert main(["all", "--scale", "0.1", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert sorted(path.name for path in out.iterdir()) == [
+            "expA.txt", "expB.txt",
+        ]
+        for name, text in (("expA", "report A"),
+                           ("expB", "report B\nsecond line")):
+            assert (out / f"{name}.txt").read_text() == text + "\n"
+            assert text + "\n" in printed
+        assert calls == [("expA", {"scale": 0.1}), ("expB", {"scale": 0.1})]
+
+    def test_failed_claim_exits_1_naming_step_and_claim(
+        self, calls, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "CLAIMS", {
+            "expB": lambda data, scale: failed_claims({
+                f"value {data['value']} > 5": data["value"] > 5,
+                "scale is passed through": scale == 0.1,
+            }),
+        })
+        assert main(["all", "--scale", "0.1"]) == 1
+        out = capsys.readouterr().out
+        assert "1 paper-shape claim(s) failed:" in out
+        assert "  expB: value 2 > 5" in out
+        assert "report A" in out and "report B" in out
+
+    def test_step_error_propagates_after_earlier_reports_are_written(
+        self, calls, monkeypatch, tmp_path
+    ):
+        def run(name, **kwargs):
+            if name == "expB":
+                raise AnalysisError("no clusters to extrapolate from")
+            return ExperimentResult(name, {}, "report A")
+
+        monkeypatch.setattr(cli, "run_experiment", run)
+        with pytest.raises(AnalysisError, match="no clusters"):
+            main(["all", "--scale", "0.1", "--out", str(tmp_path)])
+        assert (tmp_path / "expA.txt").read_text() == "report A\n"
+        assert not (tmp_path / "expB.txt").exists()

@@ -118,7 +118,7 @@ def test_submit_suite_queues_every_benchmark(cli_env, capsys):
 
 
 def test_submit_suite_default_scale(cli_env, capsys):
-    from repro.benchmark_support import SUITE_SCALES
+    from repro.bench import SUITE_SCALES
 
     assert main(["submit", "bbr1", "--suite", "smoke"]) == 0
     out = capsys.readouterr().out
