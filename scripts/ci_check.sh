@@ -41,19 +41,20 @@ MEGSIM_JOBS=auto python -m pytest -x -q tests/test_parallel/test_determinism.py
 # benchmark suite and compare against the checked-in baseline.  Wall
 # time is enforced only on a platform matching the baseline's; accuracy
 # and work counters are enforced everywhere.  The generous threshold
-# absorbs shared-runner noise.
+# absorbs shared-runner noise.  This run uses the default (vector)
+# cycle-sim backend.
 echo "== bench smoke regression gate =="
 GATE_TMP="$(mktemp -d)"
 trap 'rm -rf "$GATE_TMP"' EXIT
 python -m repro bench --suite smoke --scale 0.05 \
     --compare benchmarks/baselines/smoke.json --threshold 2.0 \
-    --out "$GATE_TMP/smoke-scalar.json"
+    --out "$GATE_TMP/smoke-vector.json"
 
 # The warm-started cluster sweep must hold its budget: one full-dataset
 # k-means per explored k, and no more exploration than 1/3 of what the
 # pre-warm-start search spent (465 runs at this scale).  A regression
 # here would silently re-inflate every pipeline run's clustering cost.
-python - "$GATE_TMP/smoke-scalar.json" <<'EOF'
+python - "$GATE_TMP/smoke-vector.json" <<'EOF'
 import json
 import sys
 
@@ -72,14 +73,14 @@ assert runs * 3 <= 465, (
 print(f"cluster search budget: OK ({runs} runs, {465 / runs:.2f}x reduction)")
 EOF
 
-# The same regression gate under the vector cycle-sim backend: identical
+# The same regression gate under the scalar oracle backend: identical
 # accuracy and counters are expected (the parity spec inside the suite
 # already proves FrameStats bit-identity per benchmark), so any drift is
 # a backend bug, not noise.
-echo "== bench smoke regression gate (vector backend) =="
-python -m repro bench --suite smoke --scale 0.05 --backend vector \
+echo "== bench smoke regression gate (scalar backend) =="
+python -m repro bench --suite smoke --scale 0.05 --backend scalar \
     --compare benchmarks/baselines/smoke.json --threshold 2.0 \
-    --out "$GATE_TMP/smoke-vector.json"
+    --out "$GATE_TMP/smoke-scalar.json"
 
 # The artifact-store contract (docs/pipeline.md): two identical warm
 # runs sharing one fresh MEGSIM_STORE must produce byte-identical

@@ -130,9 +130,9 @@ def _add_store(parser: argparse.ArgumentParser) -> None:
 def _add_backend(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend", choices=CYCLE_BACKENDS, default=None,
-        help="cycle-simulation backend: 'scalar' is the reference event "
-             "loop, 'vector' the batched bit-identical lowering "
-             "(docs/simulation-backends.md); defaults to scalar",
+        help="cycle-simulation backend: 'vector' (the default) is the "
+             "batched lowering, 'scalar' the bit-identical reference event "
+             "loop it is checked against (docs/simulation-backends.md)",
     )
 
 

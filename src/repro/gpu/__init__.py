@@ -27,7 +27,7 @@ from repro.gpu.config import (
 from repro.gpu.cycle_sim import CycleAccurateSimulator, SequenceResult
 from repro.gpu.functional_sim import FrameProfile, FunctionalSimulator, SequenceProfile
 from repro.gpu.parity import ParityReport, check_backend_parity, sample_frame_ids
-from repro.gpu.stats import FrameStats
+from repro.gpu.stats import CacheStats, FrameStats
 
 __all__ = [
     "GPUConfig",
@@ -44,6 +44,7 @@ __all__ = [
     "FrameProfile",
     "SequenceProfile",
     "FrameStats",
+    "CacheStats",
     "ParityReport",
     "check_backend_parity",
     "sample_frame_ids",

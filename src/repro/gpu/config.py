@@ -6,9 +6,10 @@ GPU — an architecture resembling an Arm Mali-450: 600 MHz, 1440x720 screen,
 hierarchy and a dual-channel LPDDR3-like main memory.
 
 :class:`CycleConfig` selects *how* the cycle model is executed — the
-scalar reference implementation or the batched vector backend
-(`docs/simulation-backends.md`) — without changing *what* it models:
-both backends produce bit-identical results for any :class:`GPUConfig`.
+batched vector backend (the production default) or the scalar reference
+implementation it is checked against (`docs/simulation-backends.md`) —
+without changing *what* it models: both backends produce bit-identical
+results for any :class:`GPUConfig`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ from typing import Iterator
 
 from repro.errors import ConfigError
 
-#: Execution backends of the cycle simulator.  "scalar" is the reference
-#: event loop; "vector" is the batched lowering that must stay
-#: bit-identical to it (guarded by ``repro.gpu.parity``).
+#: Execution backends of the cycle simulator.  "vector" is the batched
+#: lowering every evaluation runs by default; "scalar" is the reference
+#: event loop it must stay bit-identical to (guarded by
+#: ``repro.gpu.parity``), run only by parity checks, tests and an explicit
+#: ``--backend scalar``.
 CYCLE_BACKENDS = ("scalar", "vector")
 
 #: Fixed per-frame overhead (command processing, state changes, scheduling).
@@ -238,15 +241,16 @@ def default_config() -> GPUConfig:
 class CycleConfig:
     """Execution strategy of the cycle-accurate simulator.
 
-    ``backend`` picks the implementation: ``"scalar"`` runs the
-    per-access reference event loop, ``"vector"`` runs the batched
-    lowering in :mod:`repro.gpu.vector`.  The two are bit-identical by
-    contract; the parity harness (:mod:`repro.gpu.parity`) and the CI
-    gate enforce it.  The choice is part of every pipeline stage
-    fingerprint, so the artifact store never conflates backends.
+    ``backend`` picks the implementation: ``"vector"`` (the default) runs
+    the batched lowering in :mod:`repro.gpu.vector`, ``"scalar"`` runs the
+    per-access reference event loop that serves as its oracle.  The two
+    are bit-identical by contract; the parity harness
+    (:mod:`repro.gpu.parity`) and the CI gate enforce it.  The choice is
+    part of every pipeline stage fingerprint, so the artifact store never
+    conflates backends.
     """
 
-    backend: str = "scalar"
+    backend: str = "vector"
 
     def __post_init__(self) -> None:
         if self.backend not in CYCLE_BACKENDS:
@@ -265,7 +269,7 @@ def default_cycle_config() -> CycleConfig:
     This is the value :meth:`repro.pipeline.request.PipelineRequest.create`
     falls back to when the caller does not pass one explicitly — the
     mechanism behind the CLI's ``--backend`` flag.  Outside any
-    :func:`cycle_scope` it is the scalar reference backend.
+    :func:`cycle_scope` it is the production vector backend.
     """
     if _ACTIVE_CYCLE is None:
         return CycleConfig()

@@ -14,6 +14,12 @@ binning has finished, so::
 
 bounded from below by the DRAM bus occupancy the frame generated (a
 bandwidth-saturated frame cannot finish before its memory traffic drains).
+
+:meth:`CycleAccurateSimulator.simulate` runs the model on the backend its
+:class:`~repro.gpu.config.CycleConfig` names: the batched vector backend
+(:mod:`repro.gpu.vector`, the default) or the scalar per-access stage
+models in this module, the reference oracle the vector backend is
+checked against.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 from repro.obs import counter, gauge, get_collector, observe, span
-from repro.gpu.cache import CacheStats
 from repro.gpu.config import (
     FRAME_OVERHEAD_CYCLES,
     CycleConfig,
@@ -34,7 +39,7 @@ from repro.gpu.geometry import simulate_geometry
 from repro.gpu.hierarchy import MemorySystem
 from repro.gpu.power import EnergyParams, PowerModel
 from repro.gpu.raster import simulate_raster
-from repro.gpu.stats import FrameStats
+from repro.gpu.stats import CacheStats, FrameStats
 from repro.gpu.tiling import simulate_tiling
 from repro.gpu.workmodel import compute_frame_work
 from repro.scene.frame import Frame
@@ -131,7 +136,6 @@ class CycleAccurateSimulator:
         self,
         config: GPUConfig | None = None,
         energy_params: EnergyParams | None = None,
-        cache_model: str = "region",
         cycle: CycleConfig | None = None,
     ) -> None:
         """Create a simulator.
@@ -139,21 +143,13 @@ class CycleAccurateSimulator:
         Args:
             config: GPU configuration; ``None`` uses the Table I baseline.
             energy_params: per-event energies; ``None`` uses the defaults.
-            cache_model: ``"region"`` (fast, default) or ``"line"``
-                (exact set-associative simulation, for validation runs).
-            cycle: execution strategy; ``None`` runs the scalar reference
-                backend.  The vector backend only models the region cache,
-                so it composes with ``cache_model="region"`` only.
+            cycle: execution strategy; ``None`` runs the production vector
+                backend (``CycleConfig(backend="scalar")`` runs the
+                reference oracle).
         """
         self.config = config if config is not None else default_config()
         self.power_model = PowerModel(energy_params)
-        self.cache_model = cache_model
         self.cycle = cycle if cycle is not None else CycleConfig()
-        if self.cycle.backend == "vector" and cache_model != "region":
-            raise SimulationError(
-                "the vector backend models the region cache only; use "
-                'cache_model="region" or the scalar backend'
-            )
 
     def simulate(
         self,
@@ -228,7 +224,7 @@ class CycleAccurateSimulator:
                     trace, schedule, self.config, self.power_model, textures
                 )
             else:
-                mem = MemorySystem(self.config, cache_model=self.cache_model)
+                mem = MemorySystem(self.config)
                 stats = []
                 for fid, keep in schedule:
                     frame_stats = self._simulate_frame(
@@ -265,11 +261,12 @@ class CycleAccurateSimulator:
         gauge("cycle.tile_cache_accesses", totals.tile_cache_accesses)
 
     def simulate_frame(self, frame: Frame, trace: WorkloadTrace) -> FrameStats:
-        """Simulate a single frame with cold caches (convenience API)."""
+        """Simulate a single frame with cold caches (convenience API).
+
+        Runs the scalar stage models whatever the backend.
+        """
         textures = {t.texture_id: t for t in trace.textures}
-        return self._simulate_frame(
-            frame, textures, MemorySystem(self.config, cache_model=self.cache_model)
-        )
+        return self._simulate_frame(frame, textures, MemorySystem(self.config))
 
     def _simulate_frame(
         self,

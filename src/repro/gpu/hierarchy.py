@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
-from repro.gpu.cache import CacheStats
 from repro.gpu.config import GPUConfig
 from repro.gpu.dram import DRAMModel, DRAMStats
 from repro.gpu.region_cache import RegionCache
+from repro.gpu.stats import CacheStats
 
 #: Valid pipeline phase tags for shared-resource attribution.
 PHASES = ("geometry", "tiling", "raster")
@@ -36,34 +36,22 @@ class MemoryAccessResult:
 class MemorySystem:
     """The full cache/DRAM hierarchy of the modelled GPU.
 
+    Every cache is a region-granular LRU model
+    (:class:`~repro.gpu.region_cache.RegionCache`).
+
     Args:
         config: the Table I configuration.
-        cache_model: ``"region"`` (default) uses the fast region-granular
-            LRU model; ``"line"`` runs every access through the exact
-            set-associative line model (orders of magnitude slower —
-            validation and short traces only).
     """
 
-    def __init__(self, config: GPUConfig, cache_model: str = "region") -> None:
-        if cache_model == "region":
-            make_cache = RegionCache
-        elif cache_model == "line":
-            from repro.gpu.line_adapter import LineBackedRegionCache
-
-            make_cache = LineBackedRegionCache
-        else:
-            raise SimulationError(
-                f"unknown cache model {cache_model!r}; use 'region' or 'line'"
-            )
+    def __init__(self, config: GPUConfig) -> None:
         self.config = config
-        self.cache_model = cache_model
-        self.vertex_cache = make_cache(config.vertex_cache)
+        self.vertex_cache = RegionCache(config.vertex_cache)
         self.texture_caches = tuple(
-            make_cache(config.texture_cache)
+            RegionCache(config.texture_cache)
             for _ in range(config.fragment_processors)
         )
-        self.tile_cache = make_cache(config.tile_cache)
-        self.l2 = make_cache(config.l2_cache)
+        self.tile_cache = RegionCache(config.tile_cache)
+        self.l2 = RegionCache(config.l2_cache)
         self.dram = DRAMModel(config.dram)
         # On-chip tile buffers: always-hit SRAM, counted but not backed.
         self.color_buffer = CacheStats()

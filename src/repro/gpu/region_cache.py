@@ -3,9 +3,9 @@
 The timing simulator processes work in (draw call x resource) batches; one
 batch touches a contiguous *region* of memory (a vertex buffer, a texture
 footprint, a tile's polygon list) with a known number of distinct lines and
-total accesses.  Simulating every line of every batch through the reference
-model in :mod:`repro.gpu.cache` costs one Python operation per line, which
-is intractable for multi-thousand-frame sequences (see DESIGN.md).
+total accesses.  Simulating every line of every batch through an exact
+set-associative model costs one Python operation per line, which is
+intractable for multi-thousand-frame sequences (see DESIGN.md).
 
 This model keeps LRU state at *region* granularity instead:
 
@@ -28,8 +28,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
-from repro.gpu.cache import CacheStats
 from repro.gpu.config import CacheConfig
+from repro.gpu.stats import CacheStats
 
 
 @dataclass(slots=True)

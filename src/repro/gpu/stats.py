@@ -13,17 +13,61 @@ two operations the sampling methodology needs:
 The four *key metrics* the paper evaluates accuracy on (Section V-B) are
 exposed as properties: :attr:`cycles`, :attr:`dram_accesses`,
 :attr:`l2_accesses` and :attr:`tile_cache_accesses`.
+
+:class:`CacheStats` holds the running counters of one cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from repro.gpu.cache import CacheStats
 from repro.gpu.dram import DRAMStats
 
 #: Names of the paper's four headline accuracy metrics, in Figure 7 order.
 KEY_METRICS = ("cycles", "dram_accesses", "l2_accesses", "tile_cache_accesses")
+
+
+@dataclass(slots=True)
+class CacheStats:
+    """Running counters for one cache."""
+
+    accesses: int = 0
+    hits: int = 0
+    misses: int = 0
+    writebacks: int = 0
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of accesses that hit; 0.0 for an untouched cache."""
+        if self.accesses == 0:
+            return 0.0
+        return self.hits / self.accesses
+
+    def merge(self, other: "CacheStats") -> None:
+        """Accumulate ``other`` into ``self``."""
+        self.accesses += other.accesses
+        self.hits += other.hits
+        self.misses += other.misses
+        self.writebacks += other.writebacks
+
+    def to_dict(self) -> dict:
+        """JSON-serializable representation (for the artifact store)."""
+        return {
+            "accesses": self.accesses,
+            "hits": self.hits,
+            "misses": self.misses,
+            "writebacks": self.writebacks,
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "CacheStats":
+        """Rebuild counters saved with :meth:`to_dict`."""
+        return cls(
+            accesses=payload["accesses"],
+            hits=payload["hits"],
+            misses=payload["misses"],
+            writebacks=payload["writebacks"],
+        )
 
 
 @dataclass(slots=True)

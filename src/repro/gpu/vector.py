@@ -1,4 +1,4 @@
-"""Batched ("vector") cycle-simulation backend.
+"""Batched ("vector") cycle-simulation backend, the production default.
 
 The scalar backend in :mod:`repro.gpu.cycle_sim` walks every draw call of
 every frame through :class:`~repro.gpu.hierarchy.MemorySystem`, paying
@@ -6,9 +6,10 @@ several Python calls and a result object per cache access — the profiled
 wall-time dominator of every evaluation.  This module executes the *same
 model* in three passes instead:
 
-1. **Lower** — one pass over the frame schedule turns each frame's work
-   (via :func:`~repro.gpu.workmodel.compute_frame_work`, shared with the
-   scalar backend) into columnar arrays of memory *ops*: interned region
+1. **Lower** — one pass over the frame schedule turns the frames' work
+   (the columnar :func:`~repro.gpu.workmodel.compute_work_columns`,
+   bit-identical to the per-draw model the scalar backend evaluates)
+   into columnar arrays of memory *ops*: interned region
    keys, distinct-line counts, access totals, write flags, phase tags and
    queue depths, in exactly the order the scalar stage models would issue
    them.  Derived columns (effective access totals, over-capacity
@@ -28,6 +29,9 @@ model* in three passes instead:
    each kept frame's :class:`~repro.gpu.stats.FrameStats` is finalized with
    the identical cycle-composition and energy-attribution expressions.
 
+Each pass runs under one span (``cycle.lower``, ``cycle.replay``,
+``cycle.accumulate``) per simulated schedule.
+
 The contract is **bit identity** with the scalar backend for every
 configuration (rendering modes, warmup schedules, custom cache sizes);
 :mod:`repro.gpu.parity` and the CI gate enforce it.  See
@@ -43,14 +47,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.gpu.cache import CacheStats
+from repro.obs import span
 from repro.gpu.config import FRAME_OVERHEAD_CYCLES, GPUConfig
 from repro.gpu.dram import DRAMStats
 from repro.gpu.power import PowerModel
 from repro.gpu.raster import texture_footprint_lines
-from repro.gpu.stats import FrameStats
+from repro.gpu.stats import CacheStats, FrameStats
 from repro.gpu.tiling import polygon_list_lines, varyings_lines
-from repro.gpu.workmodel import compute_frame_work
+from repro.gpu.workmodel import compute_work_columns
 from repro.scene.mesh import Texture
 from repro.scene.trace import WorkloadTrace
 
@@ -222,46 +226,64 @@ def _lower(
         phases.append(phase)
         queues.append(queue)
 
-    for fid, _keep in schedule:
+    frames = [trace.frames[fid] for fid, _keep in schedule]
+    work = compute_work_columns(frames, config)
+    starts = work.offsets.tolist()
+    vertices_of = work.vertices_shaded.tolist()
+    binned_of = work.primitives_binned.tolist()
+    pairs_of = work.prim_tile_pairs.tolist()
+    footprint_of = work.footprint_pixels.tolist()
+    generated_of = work.fragments_generated.tolist()
+    shaded_of = work.fragments_shaded.tolist()
+    frame_totals = {
+        name: work.frame_sums(getattr(work, name)).tolist()
+        for name in (
+            "vertices_shaded", "primitives_submitted", "primitives_binned",
+            "prim_tile_pairs", "fragments_generated", "fragments_shaded",
+        )
+    }
+    active_tiles = work.active_tiles.tolist()
+
+    for slot, frame in enumerate(frames):
         base = len(kinds)
-        work = compute_frame_work(trace.frames[fid], config)
-        draw_work = work.draw_work
+        first = starts[slot]
+        draw_calls = frame.draw_calls
 
         # Geometry: the Vertex Fetcher streams each instance's records
         # through the vertex cache.
         vertex_instructions = 0
         fetch_accesses = 0
-        for dcw in draw_work:
-            dc = dcw.draw_call
-            vertex_instructions += (
-                dcw.vertices_shaded * dc.vertex_shader.instruction_count
-            )
+        for row, dc in enumerate(draw_calls, first):
+            vertices = vertices_of[row]
+            vertex_instructions += vertices * dc.vertex_shader.instruction_count
             mesh = dc.mesh
             lines = max(1, math.ceil(mesh.vertex_buffer_bytes / vline))
-            fetch_accesses += dcw.vertices_shaded
+            fetch_accesses += vertices
             push(
                 _OP_VERTEX, key_id(("vb", mesh.mesh_id)), -1, lines,
-                dcw.vertices_shaded, False, _GEOMETRY, q_vertex,
+                vertices, False, _GEOMETRY, q_vertex,
             )
 
         # Tiling: varyings + polygon-list writes through the tile cache.
         list_entries = 0
         if not imr:
-            for index, dcw in enumerate(draw_work):
-                varyings = varyings_lines(dcw.vertices_shaded, config)
+            for index in range(len(draw_calls)):
+                vertices = vertices_of[first + index]
+                pairs = pairs_of[first + index]
+                varyings = varyings_lines(vertices, config)
                 vkey = ("varyings", index)
                 push(
                     _OP_TILE, key_id(vkey), key_id(("wb", vkey)), varyings,
-                    dcw.vertices_shaded, True, _TILING, q_tile,
+                    vertices, True, _TILING, q_tile,
                 )
-                if dcw.prim_tile_pairs == 0:
+                if pairs == 0:
                     continue
-                list_entries += dcw.prim_tile_pairs
-                lines = polygon_list_lines(dcw.prim_tile_pairs, config)
+                list_entries += pairs
+                lines = polygon_list_lines(pairs, config)
                 pkey = ("plist", index)
                 push(
                     _OP_TILE, key_id(pkey), key_id(("wb", pkey)), lines,
-                    dcw.prim_tile_pairs, True, _TILING, q_tile,
+                    pairs, True, _TILING, q_tile,
                 )
 
         # Raster: polygon-list/varyings read-back, depth/color traffic,
@@ -269,34 +291,37 @@ def _lower(
         fragment_instructions = 0
         color_tally = 0
         depth_tally = 0
-        for index, dcw in enumerate(draw_work):
-            if dcw.fragments_generated == 0:
+        for index, dc in enumerate(draw_calls):
+            row = first + index
+            generated = generated_of[row]
+            if generated == 0:
                 continue
-            dc = dcw.draw_call
-            if dcw.prim_tile_pairs:
-                lines = polygon_list_lines(dcw.prim_tile_pairs, config)
+            shaded = shaded_of[row]
+            pairs = pairs_of[row]
+            if pairs:
+                lines = polygon_list_lines(pairs, config)
                 pkey = ("plist", index)
                 push(
                     _OP_TILE, key_id(pkey), key_id(("wb", pkey)), lines,
-                    dcw.prim_tile_pairs, False, _RASTER, q_fragment,
+                    pairs, False, _RASTER, q_fragment,
                 )
-                varyings = varyings_lines(dcw.vertices_shaded, config)
+                varyings = varyings_lines(vertices_of[row], config)
                 vkey = ("varyings", index)
                 push(
                     _OP_TILE, key_id(vkey), key_id(("wb", vkey)), varyings,
-                    max(3 * dcw.primitives_binned, 1), False, _RASTER,
+                    max(3 * binned_of[row], 1), False, _RASTER,
                     q_fragment,
                 )
 
-            depth_accesses = dcw.fragments_generated + dcw.fragments_shaded
-            color_accesses = dcw.fragments_shaded
+            depth_accesses = generated + shaded
+            color_accesses = shaded
             if not dc.opaque:
-                color_accesses += dcw.fragments_shaded
+                color_accesses += shaded
             if imr:
                 buffer_lines = max(
                     1,
                     math.ceil(
-                        dcw.footprint_pixels
+                        footprint_of[row]
                         * config.depth_bytes_per_pixel
                         / l2_line
                     ),
@@ -305,10 +330,10 @@ def _lower(
                     _OP_L2_DIRECT, key_id(("depth_fb",)), -1, buffer_lines,
                     depth_accesses, True, _RASTER, q_fragment,
                 )
-                if not dc.opaque and dcw.fragments_shaded:
+                if not dc.opaque and shaded:
                     push(
                         _OP_L2_DIRECT, key_id(("color_fb",)), -1,
-                        buffer_lines, dcw.fragments_shaded, False, _RASTER,
+                        buffer_lines, shaded, False, _RASTER,
                         q_fragment,
                     )
             else:
@@ -316,18 +341,16 @@ def _lower(
                 color_tally += color_accesses
 
             fragment_instructions += (
-                dcw.fragments_shaded * dc.fragment_shader.instruction_count
+                shaded * dc.fragment_shader.instruction_count
             )
 
-            visible_fraction = dcw.fragments_shaded / dcw.fragments_generated
+            visible_fraction = shaded / generated
             visible_pixels = max(
-                1, int(round(dcw.footprint_pixels * visible_fraction))
+                1, int(round(footprint_of[row] * visible_fraction))
             )
             for sample in dc.fragment_shader.texture_samples:
                 texture = textures[dc.texture_ids[sample.texture_slot]]
-                accesses = (
-                    dcw.fragments_shaded * sample.filter_mode.memory_accesses
-                )
+                accesses = shaded * sample.filter_mode.memory_accesses
                 footprint = texture_footprint_lines(
                     texture,
                     visible_pixels,
@@ -341,10 +364,11 @@ def _lower(
                 )
 
         framebuffer_lines = 0
+        frame_shaded = frame_totals["fragments_shaded"][slot]
         if imr:
-            if work.fragments_shaded:
+            if frame_shaded:
                 framebuffer_lines = math.ceil(
-                    work.fragments_shaded
+                    frame_shaded
                     * config.color_bytes_per_pixel
                     / l2_line
                 )
@@ -352,9 +376,9 @@ def _lower(
                     _OP_WRITE_THROUGH, key_id(("framebuffer",)), -1,
                     framebuffer_lines, framebuffer_lines, True, _RASTER, 0,
                 )
-        elif work.active_tiles:
+        elif active_tiles[slot]:
             framebuffer_lines = math.ceil(
-                work.active_tiles
+                active_tiles[slot]
                 * config.tile_pixels
                 * config.color_bytes_per_pixel
                 / l2_line
@@ -367,12 +391,12 @@ def _lower(
         op_counts.append(len(kinds) - base)
         records.append(
             _FrameRecord(
-                vertices_shaded=work.vertices_shaded,
-                primitives_submitted=work.primitives_submitted,
-                primitives_binned=work.primitives_binned,
-                prim_tile_pairs=work.prim_tile_pairs,
-                fragments_generated=work.fragments_generated,
-                fragments_shaded=work.fragments_shaded,
+                vertices_shaded=frame_totals["vertices_shaded"][slot],
+                primitives_submitted=frame_totals["primitives_submitted"][slot],
+                primitives_binned=frame_totals["primitives_binned"][slot],
+                prim_tile_pairs=frame_totals["prim_tile_pairs"][slot],
+                fragments_generated=frame_totals["fragments_generated"][slot],
+                fragments_shaded=frame_shaded,
                 vertex_instructions=vertex_instructions,
                 fetch_accesses=fetch_accesses,
                 list_entries=list_entries,
@@ -415,9 +439,22 @@ def simulate_schedule(
     returned for kept frames only (warmup frames mutate cache state but
     are discarded), in schedule order.
     """
-    rows, op_counts, records = _lower(trace, schedule, config, textures)
+    with span("cycle.lower", frames=len(schedule)):
+        rows, op_counts, records = _lower(trace, schedule, config, textures)
+    with span("cycle.replay", ops=len(rows)):
+        marks, stalls = _replay(rows, op_counts, config)
+    with span("cycle.accumulate", frames=len(schedule)):
+        return _accumulate(
+            schedule, records, marks, stalls, config, power_model
+        )
 
-    # --- Replay -------------------------------------------------------
+
+def _replay(rows: list, op_counts: list[int], config: GPUConfig):
+    """Interpret the op stream against the inlined cache/DRAM state.
+
+    Returns the cumulative counter snapshot at every frame boundary
+    (first row all zeros) and each frame's per-phase stall cycles.
+    """
     vertex = _CacheState(config.vertex_cache.lines)
     texture = _CacheState(config.texture_cache.lines)
     tile = _CacheState(config.tile_cache.lines)
@@ -561,8 +598,18 @@ def simulate_schedule(
             dram_phase[0], dram_phase[1], dram_phase[2],
             dram.racc, dram.wacc, dram.rhit, dram.rmiss, dram.busy,
         ))
+    return marks, stalls
 
-    # --- Accumulate ---------------------------------------------------
+
+def _accumulate(
+    schedule: list[tuple[int, bool]],
+    records: list[_FrameRecord],
+    marks: list[tuple],
+    stalls: list[tuple[float, float, float]],
+    config: GPUConfig,
+    power_model: PowerModel,
+) -> list[FrameStats]:
+    """Finalize each kept frame's statistics from the replay snapshots."""
     # Per-frame deltas of every cumulative counter, in one vectorized
     # difference over the frame-boundary snapshots.
     deltas = np.diff(np.asarray(marks, dtype=np.int64), axis=0)

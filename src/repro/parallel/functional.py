@@ -1,7 +1,7 @@
 """Parallel functional profiling: fan frames out, reassemble in order.
 
 The functional pass is embarrassingly parallel —
-:meth:`~repro.gpu.functional_sim.FunctionalSimulator.profile_frame` has
+:meth:`~repro.gpu.functional_sim.FunctionalSimulator.profile_frames` has
 no cross-frame state — so :func:`profile_parallel` chunks the frame
 index range, profiles chunks in worker processes, and reassembles the
 :class:`~repro.gpu.functional_sim.FrameProfile` list in frame order.
@@ -30,10 +30,7 @@ def _profile_chunk(bounds: tuple[int, int]) -> list[FrameProfile]:
     trace: WorkloadTrace = get_state("trace")
     simulator: FunctionalSimulator = get_state("simulator")
     start, stop = bounds
-    return [
-        simulator.profile_frame(trace.frames[index], trace)
-        for index in range(start, stop)
-    ]
+    return simulator.profile_frames(trace.frames[start:stop], trace)
 
 
 def profile_parallel(

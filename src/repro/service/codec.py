@@ -123,9 +123,13 @@ def decode_request(payload: dict | str) -> PipelineRequest:
             options=_build(MEGsimOptions, payload["options"]),
             config=_build(GPUConfig, payload["config"]),
             # Documents written before the backend existed omit the
-            # field; they meant the scalar default, which is also what
-            # keeps their fingerprints stable.
-            cycle=_build(CycleConfig, payload.get("cycle", {})),
+            # field; they meant the scalar backend, the default of their
+            # time, which is also what keeps their fingerprints stable.
+            cycle=(
+                _build(CycleConfig, payload["cycle"])
+                if "cycle" in payload
+                else CycleConfig(backend="scalar")
+            ),
             # v1 documents predate the registry: they could only encode
             # synthetic benchmarks, whose workload ref is None.
             workload=(

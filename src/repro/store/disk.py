@@ -66,17 +66,15 @@ class DiskTier:
         target = self.path(kind, fp)
         target.parent.mkdir(parents=True, exist_ok=True)
         body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        envelope = json.dumps(
-            {
-                "schema": STORE_SCHEMA,
-                "version": STORE_VERSION,
-                "kind": kind,
-                "fingerprint": fp,
-                "payload_sha256": payload_digest(body),
-                "payload": json.loads(body),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+        # The payload is serialized once: its canonical body is spliced
+        # into the envelope at the place ``sort_keys`` puts it, giving the
+        # bytes a sorted-key dump of the whole envelope would.
+        envelope = (
+            f'{{"fingerprint":{json.dumps(fp)},"kind":{json.dumps(kind)},'
+            f'"payload":{body},'
+            f'"payload_sha256":{json.dumps(payload_digest(body))},'
+            f'"schema":{json.dumps(STORE_SCHEMA)},'
+            f'"version":{json.dumps(STORE_VERSION)}}}'
         )
         tmp = target.parent / f"{fp}.{os.getpid()}.tmp"
         tmp.write_text(envelope)

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.gpu.cache import CacheStats, SetAssociativeCache
 from repro.gpu.config import CacheConfig
+from repro.gpu.stats import CacheStats
+from tests.test_gpu.line_cache import SetAssociativeCache
 
 
 def make_cache(size=1024, line=64, assoc=2) -> SetAssociativeCache:

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import CacheConfig
 from repro.gpu.region_cache import RegionCache
+from tests.test_gpu.line_cache import SetAssociativeCache
 
 
 def make_cache(size=1024, line=64) -> RegionCache:

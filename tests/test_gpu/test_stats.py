@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu.cache import CacheStats
+from repro.gpu import CacheStats
 from repro.gpu.dram import DRAMStats
 from repro.gpu.stats import KEY_METRICS, FrameStats
 

@@ -9,17 +9,22 @@ error).
 """
 
 import dataclasses
+import functools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, SimulationError
-from repro.gpu.config import CycleConfig, GPUConfig
+from repro.gpu.config import CacheConfig, CycleConfig, DRAMConfig, GPUConfig
 from repro.gpu.cycle_sim import CycleAccurateSimulator
 from repro.gpu.parity import (
     check_backend_parity,
     compare_results,
     sample_frame_ids,
 )
+from repro.scene.trace import WorkloadTrace
+from repro.workloads import make_benchmark
 
 
 def scalar_sim(**kwargs) -> CycleAccurateSimulator:
@@ -70,6 +75,74 @@ class TestParity:
         assert "frame 1" in mismatches[0] and "cycles" in mismatches[0]
 
 
+@functools.cache
+def drawn_trace() -> WorkloadTrace:
+    """Six frames of a 3D benchmark: dozens of draws per frame, textures,
+    transparency and several depth layers, so drawn caches evict."""
+    trace = make_benchmark("asp", scale=0.02)
+    frames = tuple(
+        dataclasses.replace(frame, frame_id=index)
+        for index, frame in enumerate(trace.frames[::13][:6])
+    )
+    return dataclasses.replace(trace, name="asp-drawn", frames=frames)
+
+
+@st.composite
+def caches(draw, name: str, max_sets: int) -> CacheConfig:
+    line = draw(st.sampled_from([32, 64, 128]))
+    ways = draw(st.sampled_from([1, 2, 4, 8]))
+    sets = draw(st.integers(1, max_sets))
+    latency = draw(st.integers(1, 20))
+    return CacheConfig(name, sets * ways * line, line, ways,
+                       latency_cycles=latency)
+
+
+@st.composite
+def drams(draw) -> DRAMConfig:
+    line = draw(st.sampled_from([32, 64, 128]))
+    min_latency = draw(st.integers(1, 120))
+    return DRAMConfig(
+        min_latency_cycles=min_latency,
+        max_latency_cycles=min_latency + draw(st.integers(0, 120)),
+        bandwidth_bytes_per_cycle=draw(st.sampled_from([1, 2, 4, 8, 16])),
+        line_bytes=line,
+        row_bytes=line * draw(st.sampled_from([1, 4, 32])),
+    )
+
+
+gpu_configs = st.builds(
+    GPUConfig,
+    screen_width=st.integers(160, 1920),
+    screen_height=st.integers(120, 1080),
+    tile_size=st.sampled_from([8, 16, 32, 64]),
+    rendering_mode=st.sampled_from(["tbr", "tbdr", "imr"]),
+    vertex_processors=st.integers(1, 8),
+    fragment_processors=st.integers(1, 8),
+    vertex_cache=caches("vertex", 64),
+    texture_cache=caches("texture", 128),
+    tile_cache=caches("tile", 512),
+    l2_cache=caches("l2", 2048),
+    dram=drams(),
+)
+
+
+@given(
+    config=gpu_configs,
+    frame_ids=st.none() | st.lists(st.integers(0, 5), min_size=1, max_size=3),
+    warmup=st.integers(0, 3),
+)
+@settings(max_examples=40, deadline=None)
+def test_parity_over_drawn_configs(config, frame_ids, warmup):
+    """vector equals scalar bit for bit on drawn GPU configurations, all
+    three rendering modes and drawn warmup schedules."""
+    trace = drawn_trace()
+    scalar = scalar_sim(config=config).simulate(trace, frame_ids, warmup)
+    vector = vector_sim(config=config).simulate(trace, frame_ids, warmup)
+    assert vector.frame_ids == scalar.frame_ids
+    assert vector.frame_stats == scalar.frame_stats
+    assert not compare_results(scalar, vector)
+
+
 class TestSampling:
     def test_small_trace_takes_all_frames(self):
         assert sample_frame_ids(5, max_frames=16) == [0, 1, 2, 3, 4]
@@ -115,16 +188,10 @@ class TestFrameSelection:
 
 
 class TestCycleConfig:
-    def test_default_is_scalar(self):
-        assert CycleConfig().backend == "scalar"
-        assert CycleAccurateSimulator().cycle.backend == "scalar"
+    def test_default_is_vector(self):
+        assert CycleConfig().backend == "vector"
+        assert CycleAccurateSimulator().cycle.backend == "vector"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError):
             CycleConfig(backend="simd")
-
-    def test_vector_requires_region_cache_model(self):
-        with pytest.raises(SimulationError):
-            CycleAccurateSimulator(
-                cache_model="line", cycle=CycleConfig(backend="vector")
-            )

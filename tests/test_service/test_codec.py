@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.sampler import MEGsimOptions
 from repro.errors import ServiceError
-from repro.gpu.config import GPUConfig
+from repro.gpu.config import CycleConfig, GPUConfig
 from repro.pipeline import stage_fingerprints
 from repro.pipeline.request import PipelineRequest
 from repro.service.codec import (
@@ -118,3 +118,23 @@ class TestWorkloadField:
         decoded = decode_request(document)
         assert decoded.workload is None
         assert decoded == PipelineRequest.create("bbr1", scale=0.1)
+
+
+def test_document_without_cycle_decodes_to_scalar():
+    """Documents written before the backend field existed meant the
+    scalar backend: decoding them must not flip them to the vector
+    default, or a queued or stored request would change fingerprint and
+    recompute."""
+    scalar = PipelineRequest.create(
+        "bbr1", scale=0.1, cycle=CycleConfig(backend="scalar")
+    )
+    document = encode_request(scalar)
+    del document["cycle"]
+    for legacy in (document, {**document, "version": 1, "workload": None}):
+        decoded = decode_request(legacy)
+        assert decoded.cycle == CycleConfig(backend="scalar")
+        assert decoded == scalar
+        assert stage_fingerprints(decoded) == stage_fingerprints(scalar)
+    default = PipelineRequest.create("bbr1", scale=0.1)
+    assert default.cycle == CycleConfig(backend="vector")
+    assert stage_fingerprints(default) != stage_fingerprints(scalar)

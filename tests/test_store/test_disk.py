@@ -7,7 +7,10 @@ import json
 import pytest
 
 from repro.errors import StoreError
+from repro.gpu.config import CycleConfig
+from repro.pipeline import STAGES, PipelineRequest, run_pipeline, stage_fingerprints
 from repro.store import STORE_VERSION, DiskTier
+from repro.store.fingerprint import payload_digest
 
 FP = "ab" + "0" * 62
 
@@ -133,3 +136,58 @@ class TestMaintenance:
     def test_gc_rejects_negative_budget(self, tmp_path):
         with pytest.raises(StoreError):
             DiskTier(tmp_path).gc(max_bytes=-1)
+
+
+def _reference_envelope(kind: str, fp: str, payload: dict) -> str:
+    """The envelope as a sorted-key dump of the whole document, the
+    writer's format before it spliced the serialized body in."""
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(
+        {
+            "schema": "megsim-store",
+            "version": STORE_VERSION,
+            "kind": kind,
+            "fingerprint": fp,
+            "payload_sha256": payload_digest(body),
+            "payload": json.loads(body),
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+class TestSplicedEnvelope:
+    def test_bytes_match_full_envelope_dump_for_every_stage(self, tmp_path):
+        request = PipelineRequest.create(
+            "hcr", scale=0.02, cycle=CycleConfig(backend="vector")
+        )
+        artifacts = run_pipeline(request)
+        fps = stage_fingerprints(request)
+        tier = DiskTier(tmp_path)
+        for stage in STAGES:
+            payload = stage.encode(artifacts[stage.name])
+            written = tier.write(stage.kind, fps[stage.name], payload)
+            path = tier.path(stage.kind, fps[stage.name])
+            expected = _reference_envelope(
+                stage.kind, fps[stage.name], payload
+            )
+            assert path.read_text() == expected, stage.name
+            assert written == len(expected.encode("utf-8"))
+            loaded = tier.read(stage.kind, fps[stage.name])
+            assert loaded is not None, stage.name
+            assert loaded == (json.loads(json.dumps(payload)), written)
+
+    def test_bytes_match_for_awkward_payloads(self, tmp_path):
+        tier = DiskTier(tmp_path)
+        payloads = [
+            {},
+            {"z": [1.0, -0.0, 1e-300, 2.5e300], "a": {"y": None, "b": True}},
+            {"text": "quote \" slash \\ unicode é ☃", "n": -7},
+            {"nested": [[{"k": 0.1}], []], "float": 0.1 + 0.2},
+        ]
+        for index, payload in enumerate(payloads):
+            fp = f"{index:02x}" + "f" * 62
+            tier.write("estimate", fp, payload)
+            text = tier.path("estimate", fp).read_text()
+            assert text == _reference_envelope("estimate", fp, payload)
+            assert tier.read("estimate", fp)[0] == payload
