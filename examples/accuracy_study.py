@@ -18,6 +18,7 @@ from repro.analysis.random_study import (
     random_frames_for_error,
 )
 from repro.analysis.runner import evaluate_benchmark
+from repro.core.sampler import MEGsimOptions
 
 
 def main() -> None:
@@ -27,11 +28,13 @@ def main() -> None:
     print(f"Evaluating {alias} at scale {scale}...")
     evaluation = evaluate_benchmark(alias, scale=scale)
     cycles = evaluation.metric_vector("cycles")
-    features = evaluation.plan.features
 
     print("MEGsim over 20 k-means seeds...")
-    errors, selected = megsim_error_distribution(features, cycles, trials=20)
-    megsim_error = percentile_abs_error(errors, 95.0)
+    errors, selected = megsim_error_distribution(
+        evaluation.profile, evaluation.full, MEGsimOptions(restarts=1),
+        trials=20,
+    )
+    megsim_error = percentile_abs_error(errors["cycles"], 95.0)
     megsim_frames = float(selected.mean())
     print(f"  frames: {megsim_frames:.0f}   "
           f"max rel.err (95% conf): {megsim_error * 100:.2f}%")

@@ -28,6 +28,14 @@ python -m pytest -x -q
 echo "== e2e benchmark self-tests =="
 python -m pytest -q benchmarks/e2e
 
+# No test imports examples/, so a public-API change could break them
+# silently; run the Table IV example end to end on a fresh store.
+echo "== examples =="
+EXAMPLES_TMP="$(mktemp -d)"
+trap 'rm -rf "$EXAMPLES_TMP"' EXIT
+MEGSIM_STORE="$EXAMPLES_TMP/store" python examples/accuracy_study.py pvz 0.05
+rm -rf "$EXAMPLES_TMP"
+
 # The determinism contract (docs/parallelism.md) must hold whichever
 # worker count MEGSIM_JOBS selects, so the cross-check suite runs once
 # serially and once with every available CPU.

@@ -11,10 +11,13 @@
 * :mod:`repro.analysis.tables` — ASCII table/bar rendering.
 """
 
-from repro.analysis.metrics import relative_error, percentile_abs_error
+from repro.analysis.metrics import (
+    key_metric_errors,
+    percentile_abs_error,
+    relative_error,
+)
 from repro.analysis.runner import BenchmarkEvaluation, evaluate_benchmark, clear_cache
 from repro.analysis.random_study import (
-    RandomStudyResult,
     megsim_error_distribution,
     random_frames_for_error,
 )
@@ -22,11 +25,11 @@ from repro.analysis.experiments import EXPERIMENTS, run_experiment
 
 __all__ = [
     "relative_error",
+    "key_metric_errors",
     "percentile_abs_error",
     "BenchmarkEvaluation",
     "evaluate_benchmark",
     "clear_cache",
-    "RandomStudyResult",
     "megsim_error_distribution",
     "random_frames_for_error",
     "EXPERIMENTS",

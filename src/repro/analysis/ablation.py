@@ -22,10 +22,10 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.analysis.metrics import failed_claims
+from repro.analysis.metrics import failed_claims, key_metric_errors
 from repro.analysis.runner import evaluate_benchmark
 from repro.analysis.tables import render_table
-from repro.core.features import FeatureOptions, PAPER_WEIGHTS
+from repro.core.features import FeatureOptions, PAPER_WEIGHTS, build_feature_matrix
 from repro.core.sampler import MEGsimOptions
 from repro.gpu.config import default_config
 from repro.gpu.stats import KEY_METRICS
@@ -204,28 +204,17 @@ def _streaming_point(alias: str, scale: float) -> AblationPoint:
     from repro.core.streaming import streaming_plan
 
     evaluation = evaluate_benchmark(alias, scale=scale)
-    clusters = streaming_plan(evaluation.plan.features)
-    stats_by_frame = {
-        fid: stats
-        for fid, stats in zip(
-            evaluation.full.frame_ids, evaluation.full.frame_stats
-        )
-    }
-    representative_stats = {
-        c.representative: stats_by_frame[c.representative] for c in clusters
-    }
-    estimate = extrapolate_statistics(clusters, representative_stats)
-    truth = evaluation.totals
-    errors = {
-        metric: abs(getattr(estimate, metric) - getattr(truth, metric))
-        / getattr(truth, metric)
-        for metric in KEY_METRICS
-    }
+    features, _ = build_feature_matrix(evaluation.profile)
+    clusters = streaming_plan(features)
+    full = evaluation.full
+    estimate = extrapolate_statistics(
+        clusters, dict(zip(full.frame_ids, full.frame_stats))
+    )
     return AblationPoint(
         label="streaming (single pass)",
         selected_frames=len(clusters),
         reduction=evaluation.plan.total_frames / len(clusters),
-        errors=errors,
+        errors=key_metric_errors(estimate, evaluation.totals),
     )
 
 
@@ -306,7 +295,6 @@ def warmup_study(
 
     evaluation = evaluate_benchmark(alias, scale=scale)
     plan = evaluation.plan
-    truth = evaluation.totals
     simulator = CycleAccurateSimulator()
     points = []
     for warmup in warmups:
@@ -316,17 +304,13 @@ def warmup_study(
             warmup_frames=warmup,
         )
         estimate = plan.estimate(dict(zip(reps.frame_ids, reps.frame_stats)))
-        errors = {}
-        for metric in KEY_METRICS:
-            reference = getattr(truth, metric)
-            errors[metric] = abs(getattr(estimate, metric) - reference) / reference
         simulated = plan.selected_frame_count * (1 + warmup)
         points.append(
             AblationPoint(
                 label=f"warmup={warmup}",
                 selected_frames=simulated,
                 reduction=plan.total_frames / simulated,
-                errors=errors,
+                errors=key_metric_errors(estimate, evaluation.totals),
             )
         )
     rows = [

@@ -505,6 +505,7 @@ def table4_random(
     methodology Table III and Figure 7 evaluate; the seed still varies
     per trial, which is the variability the paper measures.
     """
+    options = MEGsimOptions(max_k=max_k, restarts=restarts)
     rows = []
     data = {}
     megsim_total = 0.0
@@ -512,16 +513,14 @@ def table4_random(
     error_total = 0.0
     for alias in benchmark_aliases():
         evaluation = evaluate_benchmark(alias, scale=scale)
-        features = evaluation.plan.features
-        cycles = evaluation.metric_vector("cycles")
         errors, selected = megsim_error_distribution(
-            features, cycles, trials=megsim_trials, max_k=max_k,
-            restarts=restarts,
+            evaluation.profile, evaluation.full, options, trials=megsim_trials
         )
-        megsim_error = percentile_abs_error(errors, 95.0)
+        megsim_error = percentile_abs_error(errors["cycles"], 95.0)
         megsim_frames = float(selected.mean())
         random_frames = random_frames_for_error(
-            cycles, megsim_error, trials=random_trials
+            evaluation.metric_vector("cycles"), megsim_error,
+            trials=random_trials,
         )
         reduction = random_frames / megsim_frames
         paper = PAPER_TABLE4[alias]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import AnalysisError
+from repro.gpu.stats import FrameStats, KEY_METRICS
 
 
 def relative_error(estimate: float, truth: float) -> float:
@@ -16,6 +17,24 @@ def relative_error(estimate: float, truth: float) -> float:
     if truth == 0:
         raise AnalysisError("relative error undefined for a zero ground truth")
     return abs(estimate - truth) / abs(truth)
+
+
+def key_metric_errors(estimate: FrameStats, truth: FrameStats) -> dict[str, float]:
+    """Relative error of ``estimate`` on each of the four key metrics.
+
+    A metric whose ground truth is zero (e.g. tile-cache accesses on an
+    IMR configuration, which has no Tiling Engine) scores 0.0 when the
+    estimate is also zero: the sampling reproduced it exactly.
+    """
+    errors = {}
+    for metric in KEY_METRICS:
+        actual = getattr(truth, metric)
+        approx = getattr(estimate, metric)
+        errors[metric] = (
+            0.0 if actual == 0 and approx == 0
+            else relative_error(approx, actual)
+        )
+    return errors
 
 
 def percentile_abs_error(errors: np.ndarray, confidence: float = 95.0) -> float:

@@ -3,95 +3,72 @@
 Two ingredients:
 
 * :func:`megsim_error_distribution` — repeat MEGsim with different k-means
-  initialisation seeds and collect the relative error of the estimated
-  metric; the paper reports the maximum error at 95% confidence over 100
-  repetitions.
+  initialisation seeds and collect the relative error of its estimate; the
+  paper reports the maximum error at 95% confidence over 100 repetitions.
 * :func:`random_frames_for_error` — grow the number of random
   representatives k until random sub-sampling's 95%-confidence error over
   many trials matches MEGsim's.  The paper grows k one by one; we use a
   geometric-then-bisection search for the same smallest matching k, which
   is much cheaper and equivalent for a monotonically improving error.
 
-Both operate on the *per-frame ground-truth metric vector* (every frame was
-already simulated once for the accuracy study), so re-sampling costs no
-additional simulation — only array arithmetic.
+Both re-sample the *per-frame ground truth* (every frame was already
+simulated once for the accuracy study), so re-sampling costs no
+additional simulation — only planning and arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from repro.errors import AnalysisError
-from repro.analysis.metrics import percentile_abs_error
-from repro.core.cluster_search import search_clustering
-from repro.core.representatives import select_representatives
-
-
-@dataclass(frozen=True)
-class RandomStudyResult:
-    """Outcome of the Table IV comparison for one benchmark."""
-
-    alias: str
-    megsim_error_95: float
-    megsim_frames: int
-    random_frames: int
-
-    @property
-    def reduction_factor(self) -> float:
-        """How many times more frames random sub-sampling needs."""
-        return self.random_frames / self.megsim_frames
-
-
-def estimate_from_plan(values: np.ndarray, representatives: np.ndarray,
-                       weights: np.ndarray) -> float:
-    """Weighted-sum estimate of a metric total from representative frames."""
-    return float((values[representatives] * weights).sum())
+from repro.analysis.metrics import key_metric_errors, percentile_abs_error
+from repro.core.sampler import MEGsim, MEGsimOptions
+from repro.gpu.cycle_sim import SequenceResult
+from repro.gpu.functional_sim import SequenceProfile
+from repro.gpu.stats import KEY_METRICS
 
 
 def megsim_error_distribution(
-    features: np.ndarray,
-    values: np.ndarray,
+    profile: SequenceProfile,
+    truth: SequenceResult,
+    options: MEGsimOptions,
     trials: int = 100,
-    threshold: float = 0.85,
-    max_k: int | None = None,
-    patience: int = 1,
-    restarts: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Relative errors of MEGsim over ``trials`` k-means seeds.
 
+    Trial ``s`` is the production plan of ``replace(options, seed=s)``,
+    estimated with :meth:`~repro.core.sampler.SamplingPlan.estimate`.
+    Its representatives' statistics are read from the full run rather
+    than simulated in isolation, the one approximation of the study.
+
     Args:
-        features: the N x D feature matrix MEGsim clusters.
-        values: per-frame ground truth of the target metric (e.g. cycles).
+        profile: the functional profile MEGsim plans from.
+        truth: the cycle-accurate run of every frame of the sequence.
+        options: MEGsim knobs; the seed is replaced per trial.
         trials: number of repetitions (the paper uses 100).
-        threshold: BIC-spread threshold T.
-        max_k: optional cap on the cluster search.
-        patience: BIC-decrease patience of the search.
-        restarts: k-means restarts per k inside each trial (1 = the raw
-            per-seed variability the paper measures).
 
     Returns:
-        ``(errors, selected_k)`` arrays of length ``trials``.
+        ``(errors, selected_k)``: per key metric an array of ``trials``
+        relative errors (:func:`~repro.analysis.metrics.key_metric_errors`),
+        and the number of representatives of each trial.
     """
-    if features.shape[0] != values.shape[0]:
+    if profile.frame_count != len(truth.frame_ids):
         raise AnalysisError(
-            f"features cover {features.shape[0]} frames, values {values.shape[0]}"
+            f"profile covers {profile.frame_count} frames, "
+            f"ground truth {len(truth.frame_ids)}"
         )
-    truth = float(values.sum())
-    errors = np.empty(trials)
+    stats_by_frame = dict(zip(truth.frame_ids, truth.frame_stats))
+    totals = truth.totals
+    errors = {metric: np.empty(trials) for metric in KEY_METRICS}
     selected = np.empty(trials, dtype=np.int64)
     for trial in range(trials):
-        search = search_clustering(
-            features, threshold=threshold, seed=trial, max_k=max_k,
-            patience=patience, restarts=restarts,
-        )
-        clusters = select_representatives(features, search.clustering)
-        reps = np.array([c.representative for c in clusters])
-        weights = np.array([c.weight for c in clusters], dtype=np.float64)
-        estimate = estimate_from_plan(values, reps, weights)
-        errors[trial] = abs(estimate - truth) / truth
-        selected[trial] = len(clusters)
+        plan = MEGsim(replace(options, seed=trial)).plan_from_profile(profile)
+        trial_errors = key_metric_errors(plan.estimate(stats_by_frame), totals)
+        for metric, error in trial_errors.items():
+            errors[metric][trial] = error
+        selected[trial] = plan.selected_frame_count
     return errors, selected
 
 

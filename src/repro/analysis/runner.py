@@ -26,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.metrics import relative_error
+from repro.analysis.metrics import key_metric_errors
 from repro.core.sampler import MEGsimOptions, SamplingPlan
 from repro.gpu.config import CycleConfig, GPUConfig
 from repro.gpu.cycle_sim import SequenceResult
 from repro.gpu.functional_sim import SequenceProfile
-from repro.gpu.stats import FrameStats, KEY_METRICS
+from repro.gpu.stats import FrameStats
 from repro.obs import span
 from repro.pipeline import (
     PipelineRequest,
@@ -79,22 +79,9 @@ class BenchmarkEvaluation:
         return self.full.elapsed_seconds / denominator
 
     def relative_errors(self) -> dict[str, float]:
-        """MEGsim's relative error on the four key metrics (Figure 7).
-
-        A metric whose ground truth is zero (e.g. tile-cache accesses on
-        an IMR configuration, which has no Tiling Engine) scores 0.0 when
-        the estimate is also zero — the sampling reproduced it exactly.
-        """
-        totals = self.totals
-        errors = {}
-        for metric in KEY_METRICS:
-            truth = getattr(totals, metric)
-            estimate = getattr(self.estimate, metric)
-            if truth == 0 and estimate == 0:
-                errors[metric] = 0.0
-            else:
-                errors[metric] = relative_error(estimate, truth)
-        return errors
+        """MEGsim's relative error on the four key metrics (Figure 7),
+        scored by :func:`~repro.analysis.metrics.key_metric_errors`."""
+        return key_metric_errors(self.estimate, self.totals)
 
     def metric_vector(self, metric: str) -> np.ndarray:
         """Per-frame ground-truth values of one metric (for re-sampling)."""

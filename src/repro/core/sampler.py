@@ -75,14 +75,12 @@ class SamplingPlan:
         total_frames: frames in the full sequence.
         clusters: the selected clusters with their representatives.
         search: the full BIC search record (for diagnostics/plots).
-        features: the N x D matrix the clustering ran on.
     """
 
     trace_name: str
     total_frames: int
     clusters: tuple[Cluster, ...]
     search: ClusterSearchResult
-    features: np.ndarray
 
     @property
     def representative_frames(self) -> tuple[int, ...]:
@@ -128,25 +126,13 @@ class SamplingPlan:
     # ------------------------------------------------------------------
     # Persistence: a plan computed once (the functional pass + clustering)
     # can be reused across many cycle-accurate design-space runs, possibly
-    # in different sessions.  The feature matrix and search trace are
-    # diagnostic; only the clusters are needed to sample and extrapolate.
+    # in different sessions.  The search trace is diagnostic; only the
+    # clusters are needed to sample and extrapolate.  The feature matrix
+    # is not kept: ``build_feature_matrix(profile)`` rebuilds it.
     # ------------------------------------------------------------------
 
-    def to_dict(self, include_features: bool = False) -> dict:
-        """JSON-serializable representation (clusters + search record).
-
-        With ``include_features`` the N x D feature matrix is persisted
-        too (as nested lists); the artifact store uses this so ablation
-        and clustering-quality experiments behave identically on a
-        store-hit plan and a freshly computed one.  The default stays
-        lean for hand-managed ``save``/``load`` files.
-        """
-        payload = self._to_dict_base()
-        if include_features:
-            payload["features"] = self.features.tolist()
-        return payload
-
-    def _to_dict_base(self) -> dict:
+    def to_dict(self) -> dict:
+        """JSON-serializable representation (clusters + search record)."""
         return {
             "trace_name": self.trace_name,
             "total_frames": self.total_frames,
@@ -170,15 +156,13 @@ class SamplingPlan:
     def from_dict(cls, payload: dict) -> "SamplingPlan":
         """Rebuild a plan saved with :meth:`to_dict`.
 
-        The feature matrix is restored when the payload carries one
-        (``to_dict(include_features=True)``); otherwise the plan gets an
-        empty matrix (``estimate``/``representative_frames`` are
-        unaffected).
-        The search's clustering is a placeholder without centroids, but
-        its labels are rebuilt from the persisted cluster members (one
-        label row per cluster, in cluster order), so diagnostics like
-        ``search.clustering.cluster_sizes()`` report the real cluster
-        populations instead of lumping every frame into cluster 0.
+        A ``features`` key, which older stores persisted with every plan,
+        is ignored.  The search's clustering is a placeholder without
+        centroids, but its labels are rebuilt from the persisted cluster
+        members (one label row per cluster, in cluster order), so
+        diagnostics like ``search.clustering.cluster_sizes()`` report the
+        real cluster populations instead of lumping every frame into
+        cluster 0.
         """
         from repro.core.kmeans import KMeansResult
 
@@ -208,33 +192,12 @@ class SamplingPlan:
             bic_scores=tuple(search_payload["bic_scores"]),
             threshold=search_payload["threshold"],
         )
-        if "features" in payload:
-            features = np.asarray(payload["features"], dtype=np.float64)
-            features = features.reshape(payload["total_frames"], -1)
-        else:
-            features = np.zeros((payload["total_frames"], 0))
         return cls(
             trace_name=payload["trace_name"],
             total_frames=payload["total_frames"],
             clusters=clusters,
             search=search,
-            features=features,
         )
-
-    def save(self, path) -> None:
-        """Write the plan as JSON to ``path``."""
-        import json
-        from pathlib import Path
-
-        Path(path).write_text(json.dumps(self.to_dict()))
-
-    @classmethod
-    def load(cls, path) -> "SamplingPlan":
-        """Read a plan previously written by :meth:`save`."""
-        import json
-        from pathlib import Path
-
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 class MEGsim:
@@ -307,7 +270,6 @@ class MEGsim:
             total_frames=profile.frame_count,
             clusters=clusters,
             search=search,
-            features=features,
         )
 
     def plan(self, trace: WorkloadTrace) -> SamplingPlan:

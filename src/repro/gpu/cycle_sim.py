@@ -260,14 +260,6 @@ class CycleAccurateSimulator:
         gauge("cycle.l2_accesses", totals.l2_accesses)
         gauge("cycle.tile_cache_accesses", totals.tile_cache_accesses)
 
-    def simulate_frame(self, frame: Frame, trace: WorkloadTrace) -> FrameStats:
-        """Simulate a single frame with cold caches (convenience API).
-
-        Runs the scalar stage models whatever the backend.
-        """
-        textures = {t.texture_id: t for t in trace.textures}
-        return self._simulate_frame(frame, textures, MemorySystem(self.config))
-
     def _simulate_frame(
         self,
         frame: Frame,

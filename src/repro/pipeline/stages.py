@@ -156,7 +156,7 @@ STAGES: tuple[Stage, ...] = (
         persist=True,
         params=lambda request: {"options": request.options},
         compute=_compute_plan,
-        encode=lambda plan: plan.to_dict(include_features=True),
+        encode=lambda plan: plan.to_dict(),
         decode=SamplingPlan.from_dict,
     ),
     Stage(

@@ -31,7 +31,7 @@ import time
 from contextlib import ExitStack
 from typing import Any, Callable
 
-from repro.analysis.metrics import relative_error
+from repro.analysis.metrics import key_metric_errors
 from repro.errors import ServiceError
 from repro.gpu.stats import KEY_METRICS
 from repro.obs import (
@@ -72,10 +72,10 @@ def assemble_result(
     Reads the ``plan``/``ground_truth``/``estimate`` artifacts (store
     hits when the jobs ran; recomputed transparently otherwise) and
     reduces them to plain JSON: ground-truth totals, estimates and
-    relative errors on the four key metrics — the same numbers
-    :meth:`~repro.analysis.runner.BenchmarkEvaluation.relative_errors`
-    reports on the direct path, including the zero/zero -> 0.0 rule —
-    plus the sampling reduction and every stage fingerprint.
+    relative errors on the four key metrics — scored by
+    :func:`~repro.analysis.metrics.key_metric_errors`, like the direct
+    path's :meth:`~repro.analysis.runner.BenchmarkEvaluation.relative_errors`
+    — plus the sampling reduction and every stage fingerprint.
     """
     fps = fingerprints if fingerprints is not None else stage_fingerprints(request)
     plan = materialize_stage(request, "plan", store=store, fingerprints=fps)
@@ -86,14 +86,6 @@ def assemble_result(
         request, "estimate", store=store, fingerprints=fps
     )
     totals = truth.totals
-    errors = {}
-    for metric in KEY_METRICS:
-        actual = getattr(totals, metric)
-        approx = getattr(estimate, metric)
-        errors[metric] = (
-            0.0 if actual == 0 and approx == 0
-            else relative_error(approx, actual)
-        )
     return {
         "schema": RESULT_SCHEMA,
         "version": RESULT_SCHEMA_VERSION,
@@ -105,7 +97,7 @@ def assemble_result(
         "reduction_factor": plan.reduction_factor,
         "totals": {m: getattr(totals, m) for m in KEY_METRICS},
         "estimates": {m: getattr(estimate, m) for m in KEY_METRICS},
-        "relative_errors": errors,
+        "relative_errors": key_metric_errors(estimate, totals),
         "fingerprints": {**fps, "evaluation": evaluation_fingerprint(request, fps)},
     }
 

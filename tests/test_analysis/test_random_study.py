@@ -1,15 +1,24 @@
 """Tests for the Table IV random sub-sampling study machinery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.errors import AnalysisError
+from repro.analysis.metrics import key_metric_errors
 from repro.analysis.random_study import (
-    estimate_from_plan,
     megsim_error_distribution,
     random_error_at_k,
     random_frames_for_error,
 )
+from repro.analysis.runner import evaluate_benchmark
+from repro.core.sampler import MEGsim, MEGsimOptions
+from repro.gpu.stats import KEY_METRICS
+
+SCALE = 0.02  # one small evaluation, shared with the runner tests' store
+OPTIONS = MEGsimOptions(restarts=1)
+TRIALS = 4
 
 
 def phased_metric(n=300, seed=0) -> np.ndarray:
@@ -17,14 +26,6 @@ def phased_metric(n=300, seed=0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     levels = np.repeat([100.0, 300.0, 150.0], n // 3)
     return levels + rng.normal(0, 5.0, size=levels.size)
-
-
-class TestEstimate:
-    def test_weighted_sum(self):
-        values = np.array([1.0, 2.0, 3.0, 4.0])
-        reps = np.array([0, 3])
-        weights = np.array([2.0, 2.0])
-        assert estimate_from_plan(values, reps, weights) == pytest.approx(10.0)
 
 
 class TestRandomErrorAtK:
@@ -73,25 +74,73 @@ class TestRandomFramesForError:
             random_frames_for_error(phased_metric(), 0.0)
 
 
-class TestMEGsimDistribution:
-    def test_distribution_over_seeds(self):
-        rng = np.random.default_rng(0)
-        features = np.vstack([
-            rng.normal(0, 1, (60, 3)),
-            rng.normal(30, 1, (60, 3)),
-        ])
-        values = np.concatenate([
-            np.full(60, 100.0) + rng.normal(0, 2, 60),
-            np.full(60, 500.0) + rng.normal(0, 2, 60),
-        ])
-        errors, selected = megsim_error_distribution(
-            features, values, trials=5
-        )
-        assert errors.shape == (5,)
-        assert np.all(errors >= 0)
-        assert np.all(selected >= 2)  # two obvious phases
-        assert np.max(errors) < 0.1   # phases are flat -> tiny error
+@pytest.fixture(scope="module")
+def evaluation():
+    return evaluate_benchmark("hcr", scale=SCALE)
 
-    def test_shape_mismatch(self):
+
+@pytest.fixture(scope="module")
+def distribution(evaluation):
+    return megsim_error_distribution(
+        evaluation.profile, evaluation.full, OPTIONS, trials=TRIALS
+    )
+
+
+@pytest.fixture(scope="module")
+def trial_plans(evaluation):
+    """Trial ``s``'s plan as the production planner builds it."""
+    return [
+        MEGsim(replace(OPTIONS, seed=seed)).plan_from_profile(evaluation.profile)
+        for seed in range(TRIALS)
+    ]
+
+
+class TestMEGsimDistribution:
+    def test_distribution_over_seeds(self, distribution):
+        errors, selected = distribution
+        assert set(errors) == set(KEY_METRICS)
+        for metric_errors in errors.values():
+            assert metric_errors.shape == (TRIALS,)
+            assert np.all(metric_errors >= 0)
+        assert selected.shape == (TRIALS,)
+        assert np.all(selected >= 2)  # hcr has several phases
+        assert np.max(errors["cycles"]) < 0.1
+
+    def test_trials_are_production_plans(
+        self, evaluation, distribution, trial_plans
+    ):
+        errors, selected = distribution
+        full = evaluation.full
+        stats_by_frame = dict(zip(full.frame_ids, full.frame_stats))
+        for seed, plan in enumerate(trial_plans):
+            assert selected[seed] == plan.selected_frame_count
+            assert sum(c.weight for c in plan.clusters) == len(full.frame_ids)
+            expected = key_metric_errors(
+                plan.estimate(stats_by_frame), full.totals
+            )
+            assert {m: errors[m][seed] for m in KEY_METRICS} == expected
+
+    def test_cycles_match_weighted_sum(
+        self, evaluation, distribution, trial_plans
+    ):
+        """The population-weighted estimate as one array expression; it
+        differs from ``plan.estimate`` only in summation order."""
+        errors, _ = distribution
+        values = evaluation.metric_vector("cycles")
+        truth = float(values.sum())
+        for seed, plan in enumerate(trial_plans):
+            reps = np.array([c.representative for c in plan.clusters])
+            weights = np.array(
+                [c.weight for c in plan.clusters], dtype=np.float64
+            )
+            estimate = float((values[reps] * weights).sum())
+            assert errors["cycles"][seed] == pytest.approx(
+                abs(estimate - truth) / truth, rel=1e-12
+            )
+
+    def test_shape_mismatch(self, evaluation):
         with pytest.raises(AnalysisError):
-            megsim_error_distribution(np.zeros((5, 2)), np.zeros(6), trials=1)
+            megsim_error_distribution(
+                evaluation.profile, evaluation.representatives, OPTIONS,
+                trials=1,
+            )

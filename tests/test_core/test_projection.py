@@ -76,4 +76,4 @@ class TestSamplerIntegration:
 
         plan = MEGsim(MEGsimOptions(projection_dims=2)).plan(tiny_trace)
         assert sum(c.weight for c in plan.clusters) == tiny_trace.frame_count
-        assert plan.features.shape[1] <= 3
+        assert plan.search.clustering.centroids.shape[1] <= 3

@@ -70,7 +70,6 @@ def _clusterless_plan() -> SamplingPlan:
         total_frames=6,
         clusters=(),
         search=search,
-        features=np.zeros((6, 0)),
     )
 
 
@@ -121,6 +120,24 @@ class TestEstimate:
             assert estimate.fragments_shaded == pytest.approx(
                 full.totals.fragments_shaded
             )
+
+    def test_one_frame_per_cluster_reproduces_ground_truth(self, tiny_trace):
+        """Every frame its own cluster: the estimate over the full run's
+        per-frame stats is the full run's totals, field for field."""
+        full = CycleAccurateSimulator().simulate(tiny_trace)
+        plan = SamplingPlan.from_dict({
+            "trace_name": tiny_trace.name,
+            "total_frames": tiny_trace.frame_count,
+            "clusters": [
+                {"index": fid, "representative": fid, "members": [fid]}
+                for fid in full.frame_ids
+            ],
+            "search": {"chosen_k": tiny_trace.frame_count, "explored_k": [],
+                       "bic_scores": [], "threshold": 0.85},
+        })
+        assert sum(c.weight for c in plan.clusters) == tiny_trace.frame_count
+        estimate = plan.estimate(dict(zip(full.frame_ids, full.frame_stats)))
+        assert estimate == full.totals
 
 
 class TestOptions:

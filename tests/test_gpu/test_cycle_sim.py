@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.gpu.config import CycleConfig
 from repro.gpu.cycle_sim import CycleAccurateSimulator, SequenceResult
 from repro.gpu.stats import FrameStats
 
@@ -78,10 +79,17 @@ class TestSubsetSimulation:
 
 
 class TestSingleFrame:
-    def test_simulate_frame(self, simulator, tiny_trace):
-        stats = simulator.simulate_frame(tiny_trace.frames[0], tiny_trace)
-        assert stats.cycles > 0
-        assert stats.fragments_shaded > 0
+    def test_simulate_frame(self, tiny_trace):
+        """One frame with cold caches, on both backends, bit-identical."""
+        stats = [
+            CycleAccurateSimulator(cycle=CycleConfig(backend=backend))
+            .simulate(tiny_trace, frame_ids=[0])
+            .frame_stats[0]
+            for backend in ("scalar", "vector")
+        ]
+        assert stats[0] == stats[1]
+        assert stats[0].cycles > 0
+        assert stats[0].fragments_shaded > 0
 
 
 class TestSequenceResult:
