@@ -31,7 +31,7 @@ def main() -> None:
 
     print("MEGsim over 20 k-means seeds...")
     errors, selected = megsim_error_distribution(
-        evaluation.profile, evaluation.full, MEGsimOptions(restarts=1),
+        evaluation.profile, evaluation.full, MEGsimOptions(),
         trials=20,
     )
     megsim_error = percentile_abs_error(errors["cycles"], 95.0)

@@ -146,6 +146,12 @@ assert any(c.get("store.hits.disk", 0) > 0 for c in second_counters.values()), (
 )
 print("store warm determinism: OK")
 EOF
+# The trace is the pipeline's input, not a stored artifact: it must never
+# reach the disk tier.
+if [ -e "$STORE_TMP/store/v1/trace" ]; then
+    echo "the store holds a trace directory: traces must stay in memory" >&2
+    exit 1
+fi
 
 # The experiment-service contract (docs/service.md): booting the service
 # against a temp database and a fresh store, submitting the smoke suite
@@ -179,7 +185,7 @@ with ResultsDB(db_path) as db:
 assert counts["requests"]["failed"] == 0, counts
 assert counts["requests"]["completed"] == 16, counts  # 8 + resubmission
 assert counts["jobs"] == {"pending": 0, "running": 0,
-                          "done": 48, "failed": 0}, counts
+                          "done": 40, "failed": 0}, counts
 assert len(runs) == 16, f"expected 16 runs, got {len(runs)}"
 for run in runs:
     doc = run["metrics"]
@@ -194,7 +200,7 @@ for run in runs:
     assert doc["reduction_factor"] == direct.reduction_factor, run["benchmark"]
 # The second serve adopted every job already done — zero executions.
 counters = json.load(open(manifest_path))["counters"]
-assert counters.get("service.jobs.deduped.done") == 48, counters
+assert counters.get("service.jobs.deduped.done") == 40, counters
 assert "service.jobs.executed" not in counters, counters
 assert "service.jobs.created" not in counters, counters
 assert not any(c.startswith("pipeline.computed.") for c in counters), counters

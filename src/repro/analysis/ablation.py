@@ -29,6 +29,8 @@ from repro.core.features import FeatureOptions, PAPER_WEIGHTS, build_feature_mat
 from repro.core.sampler import MEGsimOptions
 from repro.gpu.config import default_config
 from repro.gpu.stats import KEY_METRICS
+from repro.pipeline import PipelineRequest, materialize_stage
+from repro.store import get_store
 
 
 @dataclass(frozen=True)
@@ -236,7 +238,7 @@ def scale_convergence_study(
         evaluation = evaluate_benchmark(alias, scale=scale)
         points.append(
             AblationPoint(
-                label=f"scale={scale} ({evaluation.trace.frame_count} frames)",
+                label=f"scale={scale} ({evaluation.profile.frame_count} frames)",
                 selected_frames=evaluation.plan.selected_frame_count,
                 reduction=evaluation.reduction_factor,
                 errors=evaluation.relative_errors(),
@@ -294,12 +296,15 @@ def warmup_study(
     from repro.gpu.cycle_sim import CycleAccurateSimulator
 
     evaluation = evaluate_benchmark(alias, scale=scale)
+    trace = materialize_stage(
+        PipelineRequest.create(alias, scale=scale), "trace", store=get_store()
+    )
     plan = evaluation.plan
     simulator = CycleAccurateSimulator()
     points = []
     for warmup in warmups:
         reps = simulator.simulate(
-            evaluation.trace,
+            trace,
             frame_ids=list(plan.representative_frames),
             warmup_frames=warmup,
         )

@@ -163,14 +163,14 @@ def table2_benchmarks(scale: float = 1.0) -> ExperimentResult:
         cycles_m = totals.cycles / 1e6
         paper = PAPER_TABLE2[alias]
         data[alias] = {
-            "frames": evaluation.trace.frame_count,
+            "frames": evaluation.profile.frame_count,
             "vertex_shaders": spec.vertex_shader_count,
             "fragment_shaders": spec.fragment_shader_count,
             "cycles_millions": cycles_m,
             "ipc": totals.ipc,
         }
         rows.append([
-            alias, spec.game_type, str(evaluation.trace.frame_count),
+            alias, spec.game_type, str(evaluation.profile.frame_count),
             str(spec.vertex_shader_count), str(spec.fragment_shader_count),
             f"{cycles_m:.0f}", f"{paper[3] * scale:.0f}",
             f"{totals.ipc:.2f}", f"{paper[4]:.2f}",
@@ -396,7 +396,7 @@ def table3_reduction(scale: float = 1.0) -> ExperimentResult:
     total_selected = 0
     for alias in benchmark_aliases():
         evaluation = evaluate_benchmark(alias, scale=scale)
-        actual = evaluation.trace.frame_count
+        actual = evaluation.profile.frame_count
         selected = evaluation.plan.selected_frame_count
         total_frames += actual
         total_selected += selected
@@ -496,16 +496,14 @@ def table4_random(
     megsim_trials: int = 100,
     random_trials: int = 1000,
     max_k: int | None = None,
-    restarts: int = 3,
 ) -> ExperimentResult:
     """Table IV: frames needed by random sub-sampling to match MEGsim.
 
-    ``restarts`` matches the default MEGsim configuration (best-of-3
-    k-means per candidate k) so the error distribution describes the same
-    methodology Table III and Figure 7 evaluate; the seed still varies
-    per trial, which is the variability the paper measures.
+    Each trial runs the default MEGsim configuration (the warm-started
+    BIC sweep Table III and Figure 7 evaluate) with its own k-means
+    seed, which is the variability the paper measures.
     """
-    options = MEGsimOptions(max_k=max_k, restarts=restarts)
+    options = MEGsimOptions(max_k=max_k)
     rows = []
     data = {}
     megsim_total = 0.0
@@ -683,7 +681,7 @@ def adversarial(
         if max_error > worst_error:
             worst_key, worst_error = key, max_error
         rows.append([
-            key, str(evaluation.trace.frame_count),
+            key, str(evaluation.profile.frame_count),
             str(evaluation.plan.selected_frame_count),
             f"{evaluation.reduction_factor:.0f}x",
             _pct(max_error),

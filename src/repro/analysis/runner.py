@@ -3,7 +3,7 @@
 :func:`evaluate_benchmark` runs the full Section IV/V pipeline for one
 benchmark:
 
-1. generate the trace,
+1. build the trace (only when a later step misses the store),
 2. functional profile (MEGsim's input),
 3. MEGsim plan (features -> clustering -> representatives),
 4. cycle-accurate ground truth of the whole sequence,
@@ -34,12 +34,12 @@ from repro.gpu.functional_sim import SequenceProfile
 from repro.gpu.stats import FrameStats
 from repro.obs import span
 from repro.pipeline import (
+    STAGES,
     PipelineRequest,
     evaluation_fingerprint,
-    run_pipeline,
+    materialize_stage,
     stage_fingerprints,
 )
-from repro.scene.trace import WorkloadTrace
 from repro.store import get_store
 
 #: Store kind of the assembled evaluation (memory tier only: its parts
@@ -53,7 +53,6 @@ class BenchmarkEvaluation:
 
     alias: str
     scale: float
-    trace: WorkloadTrace
     profile: SequenceProfile
     plan: SamplingPlan
     full: SequenceResult
@@ -121,7 +120,7 @@ def evaluate_benchmark(
             (pass a modified one for design-space or rendering-mode
             studies).
         cycle: cycle-simulation execution backend; ``None`` follows the
-            ambient default (the CLI's ``--backend`` scope, scalar
+            ambient default (the CLI's ``--backend`` scope, vector
             otherwise).
     """
     request = PipelineRequest.create(
@@ -135,12 +134,19 @@ def evaluate_benchmark(
         if cached is not None:
             return cached
 
+    # One memo for the persisted stages: the memory-only trace is built
+    # at most once, and only when one of them misses the store.
+    artifacts: dict = {}
     with span("evaluate.benchmark", benchmark=alias, scale=scale):
-        artifacts = run_pipeline(request, store=store, fingerprints=fingerprints)
+        for stage in STAGES:
+            if stage.encode is not None:
+                materialize_stage(
+                    request, stage.name, store=store,
+                    fingerprints=fingerprints, artifacts=artifacts,
+                )
     evaluation = BenchmarkEvaluation(
         alias=alias,
         scale=request.scale,
-        trace=artifacts["trace"],
         profile=artifacts["profile"],
         plan=artifacts["plan"],
         full=artifacts["ground_truth"],

@@ -26,7 +26,7 @@ runs`` query the database.
 Caching (see ``docs/pipeline.md``): every evaluation runs through the
 staged pipeline backed by the persistent artifact store (default
 ``~/.cache/megsim``, overridden by the ``MEGSIM_STORE`` environment
-variable), so repeated experiments reuse traces, profiles, plans and
+variable), so repeated experiments reuse profiles, plans and
 cycle-simulation results across commands and sessions.  ``--no-store``
 runs a command against a throwaway in-memory store; ``megsim cache``
 inspects (``stats``), empties (``clear``) or garbage-collects (``gc``)
@@ -258,16 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs(figures)
     _add_store(figures)
     _add_obs(figures)
-
-    trace = commands.add_parser(
-        "trace", help="generate a benchmark trace and write it to a file"
-    )
-    trace.add_argument("benchmark", choices=benchmark_aliases())
-    trace.add_argument("--out", required=True,
-                       help="output path (.npz binary or .json)")
-    _add_scale(trace)
-    _add_store(trace)
-    _add_obs(trace)
 
     bench = commands.add_parser(
         "bench", help="run a benchmark suite -> BENCH_<suite>.json"
@@ -738,17 +728,6 @@ def _run_command(args: argparse.Namespace) -> int:
         )
         return 0
 
-    if args.command == "trace":
-        workload = make_benchmark(args.benchmark, scale=args.scale)
-        if args.out.endswith(".json"):
-            workload.save(args.out)
-        else:
-            from repro.scene.binary_io import save_trace_npz
-
-            save_trace_npz(workload, args.out)
-        print(f"wrote {workload.frame_count}-frame trace to {args.out}")
-        return 0
-
     return 1  # unreachable: argparse enforces the command set
 
 
@@ -942,7 +921,7 @@ def _inspect(alias: str, scale: float) -> None:
 
     evaluation = evaluate_benchmark(alias, scale=scale)
     totals = evaluation.totals
-    frames = evaluation.trace.frame_count
+    frames = evaluation.profile.frame_count
     geometry, raster, tiling = totals.power_fractions()
     print(f"{alias}: {frames} frames, {totals.cycles:.3e} cycles "
           f"({totals.cycles / frames / 1e6:.2f}M/frame), IPC {totals.ipc:.2f}")
@@ -989,7 +968,7 @@ def _figures(
     features, _ = build_feature_matrix(profile)
     frames = min(frames, features.shape[0])
     distances = similarity_matrix(features[:frames], upper_only=False)
-    search = search_clustering(features[:frames], restarts=3)
+    search = search_clustering(features[:frames])
 
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)

@@ -11,8 +11,8 @@ Section III-F discusses.
 The sweep is *warm-started*: the k-cluster run is seeded from the
 (k-1)-cluster solution plus a split of its largest-WCSS cluster
 (:func:`repro.core.xmeans.split_seed_centroids`), so each k costs exactly
-one Lloyd run over the full dataset instead of best-of-``restarts``
-k-means++ restarts.  Consecutive k share almost all structure — re-seeding
+one Lloyd run over the full dataset instead of best-of-N k-means++
+restarts.  Consecutive k share almost all structure — re-seeding
 from scratch rediscovers it every time; splitting refines it.  The split
 is accepted only when the two-cluster model of the split cluster's own
 points scores a higher local BIC than the one-cluster model (x-means'
@@ -114,7 +114,6 @@ def search_clustering(
     seed: int = 0,
     max_k: int | None = None,
     patience: int = 1,
-    restarts: int = 1,
     minibatch_threshold: int = MINIBATCH_THRESHOLD,
     plateau: float = PLATEAU_FRACTION,
 ) -> ClusterSearchResult:
@@ -128,13 +127,10 @@ def search_clustering(
         patience: number of consecutive BIC decreases tolerated before
             stopping.  The paper stops at the first decrease
             (``patience=1``); larger values make the search robust to a
-            noisy BIC bump at small k.
-        restarts: retained for interface stability (it is part of the
-            pipeline-stage fingerprint); validated but no longer a work
-            multiplier.  The warm-started sweep gets the robustness that
-            best-of-restarts used to buy — a single unlucky k-means++
-            draw can no longer dent the BIC curve, because every k > 1
-            is seeded from the already-converged k-1 solution.
+            noisy BIC bump at small k.  The sweep needs no k-means++
+            restarts: every k > 1 is seeded from the already-converged
+            k-1 solution, so a single unlucky draw cannot dent the BIC
+            curve.
         minibatch_threshold: dataset size past which the per-k Lloyd
             runs use minibatch updates instead of full-batch assignment
             (default :data:`MINIBATCH_THRESHOLD`; never reached by
@@ -154,8 +150,6 @@ def search_clustering(
         raise ClusteringError(f"threshold must be in [0, 1], got {threshold}")
     if patience < 1:
         raise ClusteringError(f"patience must be >= 1, got {patience}")
-    if restarts < 1:
-        raise ClusteringError(f"restarts must be >= 1, got {restarts}")
     if minibatch_threshold < 1:
         raise ClusteringError(
             f"minibatch_threshold must be >= 1, got {minibatch_threshold}"
@@ -186,7 +180,7 @@ def search_clustering(
     clusterings: list[KMeansResult] = []
     scores: list[float] = []
     decreases = 0
-    with span("cluster.search", frames=n, max_k=cap, restarts=restarts):
+    with span("cluster.search", frames=n, max_k=cap):
         for k in range(1, cap + 1):
             with span("cluster.k", k=k):
                 warm = None

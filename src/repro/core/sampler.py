@@ -42,9 +42,6 @@ class MEGsimOptions:
         max_k: optional cap on the explored cluster counts.
         patience: consecutive BIC decreases tolerated before the search
             stops (paper: 1).
-        restarts: k-means runs per k, best WCSS kept (smooths the BIC
-            curve against unlucky initialisations; see
-            :func:`repro.core.cluster_search.search_clustering`).
         cluster_method: ``"bic-search"`` (the paper's linear sweep over
             k), ``"xmeans"`` (Pelleg/Moore recursive splitting,
             :mod:`repro.core.xmeans`) or ``"agglomerative"`` (Ward-linkage
@@ -61,7 +58,6 @@ class MEGsimOptions:
     seed: int = 0
     max_k: int | None = None
     patience: int = 1
-    restarts: int = 3
     cluster_method: str = "bic-search"
     projection_dims: int | None = None
 
@@ -236,7 +232,6 @@ class MEGsim:
                 seed=opts.seed,
                 max_k=opts.max_k,
                 patience=opts.patience,
-                restarts=opts.restarts,
             )
         elif opts.cluster_method == "agglomerative":
             from repro.core.linkage import agglomerative_search

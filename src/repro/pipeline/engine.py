@@ -7,14 +7,13 @@ process, or a :mod:`repro.parallel` worker) is decoded instead of
 recomputed — and recursing into upstream stages only on a miss.  Each
 stage runs under a ``pipeline.<name>`` span and reports
 ``pipeline.hits.<name>`` / ``pipeline.computed.<name>`` counters, so a
-trace shows exactly which work a warm store absorbed.  The experiment
-service (:mod:`repro.service`) shards one evaluation into six
-fingerprint-keyed jobs with it.
-
-:func:`run_pipeline` is :func:`materialize_stage` over every stage in
-:data:`~repro.pipeline.stages.STAGES` order.  Each stage's upstreams
-are already materialized when it runs, so nothing recurses and the six
-``pipeline.<name>`` spans are siblings.
+trace shows exactly which work a warm store absorbed.  Callers that
+need several stages share one ``artifacts`` memo across their calls, so
+an upstream stage is built at most once even without a store.
+:func:`~repro.analysis.runner.evaluate_benchmark` asks for the five
+derived stages this way, and the experiment service
+(:mod:`repro.service`) shards one evaluation into five fingerprint-keyed
+jobs with it.
 """
 
 from __future__ import annotations
@@ -30,43 +29,20 @@ from repro.store import ArtifactStore
 _STAGES_BY_NAME = {stage.name: stage for stage in STAGES}
 
 
-def run_pipeline(
-    request: PipelineRequest,
-    store: ArtifactStore | None = None,
-    fingerprints: dict[str, str] | None = None,
-) -> dict[str, Any]:
-    """Produce every stage artifact for ``request``.
-
-    Args:
-        request: the resolved evaluation inputs.
-        store: artifact store to read/write; ``None`` recomputes
-            everything (the ``use_cache=False`` path).
-        fingerprints: precomputed :func:`stage_fingerprints` output, to
-            avoid hashing twice when the caller already has it.
-
-    Returns:
-        ``stage name -> artifact`` for all six stages.
-    """
-    fps = fingerprints if fingerprints is not None else stage_fingerprints(request)
-    artifacts: dict[str, Any] = {}
-    for stage in STAGES:
-        materialize_stage(request, stage.name, store, fps, _artifacts=artifacts)
-    return artifacts
-
-
 def materialize_stage(
     request: PipelineRequest,
     name: str,
     store: ArtifactStore | None = None,
     fingerprints: dict[str, str] | None = None,
-    _artifacts: dict[str, Any] | None = None,
+    artifacts: dict[str, Any] | None = None,
 ) -> Any:
     """Produce exactly one stage's artifact, recursing only on misses.
 
     The store is consulted first; a hit decodes and returns without
     touching any upstream stage.  On a miss the required upstream
     artifacts are materialized the same way (recursively), the stage is
-    computed, and the result is persisted.  Recursively materialized
+    computed, and the result is put in the store (on disk only when the
+    stage has an ``encode`` hook).  Recursively materialized
     upstreams nest under the requesting stage's span.
 
     Args:
@@ -74,6 +50,9 @@ def materialize_stage(
         name: the stage to produce (a :data:`STAGES` name).
         store: artifact store to read/write; ``None`` recomputes.
         fingerprints: precomputed :func:`stage_fingerprints` output.
+        artifacts: ``stage name -> artifact`` memo shared across calls;
+            a stage already in it is returned as is, and every stage
+            this call produces is added to it.
 
     Returns:
         The stage's artifact.
@@ -88,7 +67,8 @@ def materialize_stage(
         )
     stage = _STAGES_BY_NAME[name]
     fps = fingerprints if fingerprints is not None else stage_fingerprints(request)
-    artifacts = _artifacts if _artifacts is not None else {}
+    if artifacts is None:
+        artifacts = {}
     if name in artifacts:
         return artifacts[name]
     fp = fps[name]
@@ -96,17 +76,17 @@ def materialize_stage(
         f"pipeline.{name}", benchmark=request.alias, fingerprint=fp[:12]
     ):
         obj = None
-        if store is not None and stage.persist:
+        if store is not None:
             obj = store.get(stage.kind, fp, decode=stage.decode)
         if obj is None:
             for upstream in stage.requires:
                 materialize_stage(
                     request, upstream, store=store,
-                    fingerprints=fps, _artifacts=artifacts,
+                    fingerprints=fps, artifacts=artifacts,
                 )
             obj = stage.compute(request, artifacts)
             counter(f"pipeline.computed.{name}")
-            if store is not None and stage.persist:
+            if store is not None:
                 store.put(stage.kind, fp, obj, encode=stage.encode)
         else:
             counter(f"pipeline.hits.{name}")

@@ -18,6 +18,10 @@ running anything: a stage's fingerprint hashes its name, its schema
 fingerprints of every stage it requires — so any upstream change
 (different alias, scale, GPU configuration, MEGsim knobs, or a bumped
 stage version) transparently invalidates all downstream artifacts.
+
+Only the five derived stages reach the disk tier.  The ``trace`` stage
+has no ``encode``/``decode`` hooks, so it lives in the memory tier only;
+a warm disk store serves every derived artifact without rebuilding it.
 """
 
 from __future__ import annotations
@@ -49,18 +53,17 @@ class Stage:
             serialized layout changes incompatibly — old artifacts then
             stop matching by fingerprint instead of being misread.
         requires: names of the upstream stages ``compute`` consumes.
-        persist: whether the artifact is written to the disk tier.
         params: request parameters folded into the fingerprint.
         compute: produce the artifact from the request and the upstream
             artifacts (a ``name -> artifact`` mapping).
-        encode / decode: store serialization hooks.
+        encode / decode: store serialization hooks; ``None`` keeps the
+            artifact in the store's memory tier only.
     """
 
     name: str
     kind: str
     version: int
     requires: tuple[str, ...]
-    persist: bool
     params: Callable[[PipelineRequest], dict]
     compute: Callable[[PipelineRequest, dict[str, Any]], Any]
     encode: Callable[[Any], dict] | None
@@ -129,18 +132,19 @@ STAGES: tuple[Stage, ...] = (
         kind="trace",
         version=1,
         requires=(),
-        persist=True,
         params=_trace_params,
         compute=_compute_trace,
-        encode=lambda trace: trace.to_dict(),
-        decode=WorkloadTrace.from_dict,
+        # The trace is the pipeline's input, not a derived result: the
+        # capture file or the generator seed already reproduces it, so
+        # it never reaches the disk tier.
+        encode=None,
+        decode=None,
     ),
     Stage(
         name="profile",
         kind="profile",
         version=1,
         requires=("trace",),
-        persist=True,
         params=lambda request: {"config": request.config},
         compute=_compute_profile,
         encode=lambda profile: profile.to_dict(),
@@ -153,7 +157,6 @@ STAGES: tuple[Stage, ...] = (
         # saturation/plateau stopping) — plans are not comparable to v1's.
         version=2,
         requires=("profile",),
-        persist=True,
         params=lambda request: {"options": request.options},
         compute=_compute_plan,
         encode=lambda plan: plan.to_dict(),
@@ -164,7 +167,6 @@ STAGES: tuple[Stage, ...] = (
         kind="ground_truth",
         version=1,
         requires=("trace",),
-        persist=True,
         # The backend is bit-identical by contract, but it is still an
         # input: keying it keeps a broken backend from poisoning the
         # other's cached artifacts.
@@ -178,7 +180,6 @@ STAGES: tuple[Stage, ...] = (
         kind="representatives",
         version=1,
         requires=("trace", "plan"),
-        persist=True,
         params=lambda request: {"config": request.config, "cycle": request.cycle},
         compute=_compute_representatives,
         encode=lambda result: result.to_dict(),
@@ -189,7 +190,6 @@ STAGES: tuple[Stage, ...] = (
         kind="estimate",
         version=1,
         requires=("plan", "representatives"),
-        persist=True,
         params=lambda request: {},
         compute=_compute_estimate,
         encode=lambda stats: stats.to_dict(),

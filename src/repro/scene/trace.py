@@ -8,9 +8,7 @@ Both the functional and the cycle-accurate simulator consume this object.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator
 
 from repro.errors import TraceError
@@ -121,8 +119,9 @@ class WorkloadTrace:
         )
 
     # ------------------------------------------------------------------
-    # Serialization.  Traces are large; JSON is provided for interchange
-    # and debugging rather than as the primary storage format.
+    # Serialization.  The dict form is the payload codec of the replayable
+    # megsim-workload capture (repro.workloads.replay), the one on-disk
+    # form a trace has.
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -166,15 +165,6 @@ class WorkloadTrace:
             textures=textures,
             frames=frames,
         )
-
-    def save(self, path: str | Path) -> None:
-        """Write the trace as JSON to ``path``."""
-        Path(path).write_text(json.dumps(self.to_dict()))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "WorkloadTrace":
-        """Read a trace previously written by :meth:`save`."""
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def _shader_to_dict(shader: ShaderProgram) -> dict:

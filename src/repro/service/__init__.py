@@ -7,9 +7,10 @@ reference):
 * :class:`ResultsDB` — requests, fingerprint-keyed jobs and result
   documents in one WAL-mode SQLite file, schema-versioned with forward
   migrations (:data:`SCHEMA_VERSION`, :data:`MIGRATIONS`).
-* :func:`expand_request` — the scheduler: one evaluation becomes six
-  stage jobs, deduplicated against done/in-flight jobs and the
-  content-addressed store before any work is enqueued.
+* :func:`expand_request` — the scheduler: one evaluation becomes five
+  stage jobs, one per persisted stage, deduplicated against
+  done/in-flight jobs and the content-addressed store before any work
+  is enqueued.
 * :func:`execute_job` — the worker: materializes exactly one stage
   artifact and records its own terminal job state.
 * :func:`serve` — the dispatcher loop behind ``megsim serve``: claim,

@@ -1,10 +1,11 @@
-"""Request expansion: one evaluation becomes six fingerprint-keyed jobs.
+"""Request expansion: one evaluation becomes five fingerprint-keyed jobs.
 
 The scheduler half of the fuzzbench-style scheduler/dispatcher split
 (:mod:`repro.service.daemon` is the dispatcher): :func:`expand_request`
 walks the pipeline's stage graph, computes every stage's input-cone
 fingerprint *without running anything*, and records one job row per
-fingerprint — deduplicating three ways before any work is enqueued:
+stage the store persists — deduplicating three ways before any work is
+enqueued:
 
 * **already-done** — a job row with this fingerprint is already ``done``
   (an earlier request computed it): linked, not re-run
@@ -18,8 +19,15 @@ fingerprint — deduplicating three ways before any work is enqueued:
   (``service.jobs.deduped.store``).
 
 Everything else becomes a ``pending`` job (``service.jobs.created``)
-whose ``deps_json`` lists its upstream fingerprints — the readiness
-relation :meth:`~repro.service.db.ResultsDB.ready_jobs` evaluates.
+whose ``deps_json`` lists its persisted upstream fingerprints — the
+readiness relation :meth:`~repro.service.db.ResultsDB.ready_jobs`
+evaluates.
+
+The memory-only ``trace`` stage gets no job: a trace job would fill one
+worker's private memory and then be thrown away.  The jobs that read the
+trace (``profile``, ``ground_truth`` and ``representatives``) build it
+themselves on a store miss, so ``profile`` and ``ground_truth`` wait on
+no other job.
 """
 
 from __future__ import annotations
@@ -60,14 +68,16 @@ def expand_request(
             skips the store-dedup pass.
 
     Returns:
-        ``stage name -> job id`` for all six stages.
+        ``stage name -> job id`` for the five persisted stages.
     """
     fps = stage_fingerprints(request)
+    persisted = [stage for stage in STAGES if stage.encode is not None]
+    names = {stage.name for stage in persisted}
     jobs: dict[str, int] = {}
     with span(
         "service.schedule", benchmark=request.alias, request_id=request_id
     ):
-        for stage in STAGES:
+        for stage in persisted:
             fp = fps[stage.name]
             existing = db.job_by_fingerprint(fp)
             if existing is not None:
@@ -90,7 +100,7 @@ def expand_request(
                     else "service.jobs.deduped.done"
                 )
             else:
-                deps = [fps[name] for name in stage.requires]
+                deps = [fps[name] for name in stage.requires if name in names]
                 job_id, created = db.upsert_job(fp, stage.name, deps=deps)
                 counter(
                     "service.jobs.created" if created

@@ -17,7 +17,7 @@ from repro.core.sampler import MEGsim, MEGsimOptions
 from repro.gpu.stats import KEY_METRICS
 
 SCALE = 0.02  # one small evaluation, shared with the runner tests' store
-OPTIONS = MEGsimOptions(restarts=1)
+OPTIONS = MEGsimOptions()
 TRIALS = 4
 
 

@@ -59,20 +59,6 @@ class TestCommands:
         assert (tmp_path / "fig5_hcr.pgm").exists()
         assert (tmp_path / "fig6_hcr.ppm").exists()
 
-    def test_trace_npz(self, capsys, tmp_path):
-        out = tmp_path / "t.npz"
-        assert main(["trace", "hcr", "--scale", "0.02", "--out", str(out)]) == 0
-        from repro.scene.binary_io import load_trace_npz
-
-        assert load_trace_npz(out).name == "hcr"
-
-    def test_trace_json(self, capsys, tmp_path):
-        out = tmp_path / "t.json"
-        assert main(["trace", "hcr", "--scale", "0.02", "--out", str(out)]) == 0
-        from repro.scene.trace import WorkloadTrace
-
-        assert WorkloadTrace.load(out).name == "hcr"
-
 
 @pytest.fixture
 def _clean_registry():

@@ -81,10 +81,9 @@ class TestSearch:
 
 class TestWarmStart:
     def test_one_full_run_per_explored_k(self):
-        """Warm-starting costs exactly one full-N k-means per k, whatever
-        ``restarts`` says (the parameter is interface-compat only)."""
+        """Warm-starting costs exactly one full-N k-means per k."""
         with collecting() as collector:
-            result = search_clustering(blobs(), restarts=3)
+            result = search_clustering(blobs())
         assert collector.counters["cluster.kmeans_runs"] == len(result.explored_k)
 
     def test_deterministic_across_calls(self):

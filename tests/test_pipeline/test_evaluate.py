@@ -16,6 +16,7 @@ from repro.pipeline import STAGES, PipelineRequest, stage_fingerprints
 from repro.store import ArtifactStore, store_scope
 
 SCALE = 0.02
+PERSISTED = [stage for stage in STAGES if stage.encode is not None]
 
 
 def _evaluate(alias: str) -> BenchmarkEvaluation:
@@ -51,16 +52,25 @@ def test_store_hit_reproduces_cold_computation(alias, tmp_path):
     assert warm is not cold
     _assert_numerically_identical(cold, warm)
     counters = dict(collector.counters)
-    for stage in STAGES:
+    for stage in PERSISTED:
         assert f"pipeline.hits.{stage.name}" in counters
         assert f"pipeline.computed.{stage.name}" not in counters
+    # Every derived stage hit, so the memory-only trace was never asked for.
+    assert "pipeline.hits.trace" not in counters
+    assert "pipeline.computed.trace" not in counters
 
 
 def test_warm_store_does_zero_simulation_work(tmp_path):
-    store = ArtifactStore(tmp_path / "store")
-    with store_scope(store):
+    root = tmp_path / "store"
+    with store_scope(ArtifactStore(root)):
         _evaluate("hcr")
-        store.clear_memory()
+    # Only the five derived stages reach the disk; the trace does not.
+    assert sorted(path.name for path in (root / "v1").iterdir()) == sorted(
+        stage.kind for stage in PERSISTED
+    )
+    assert not (root / "v1" / "trace").exists()
+    # A fresh store object on the same root: nothing live in memory.
+    with store_scope(ArtifactStore(root)):
         with collecting() as collector:
             _evaluate("hcr")
     counters = dict(collector.counters)
@@ -70,7 +80,8 @@ def test_warm_store_does_zero_simulation_work(tmp_path):
     assert "cycle.warmup_frames" not in counters
     assert "functional.frames_profiled" not in counters
     assert not any(name.startswith("pipeline.computed.") for name in counters)
-    assert counters["store.hits.disk"] >= len(STAGES)
+    assert "workload.generate" not in {record.name for record in collector.spans}
+    assert counters["store.hits.disk"] == len(PERSISTED)
 
 
 def test_memory_tier_hit_returns_identical_object(tmp_path):
@@ -113,8 +124,14 @@ def test_corrupted_artifact_is_recomputed_not_trusted(tmp_path):
     counters = dict(collector.counters)
     assert counters["store.corrupt"] == 1
     assert counters["pipeline.computed.ground_truth"] == 1
-    # Only the damaged stage was redone; its inputs still hit.
-    assert counters["pipeline.hits.trace"] == 1
+    # Only the damaged stage was redone, plus the memory-only trace it
+    # reads; every other stage still hit.
+    assert counters["pipeline.computed.trace"] == 1
+    assert not any(
+        counters.get(f"pipeline.computed.{stage.name}")
+        for stage in PERSISTED
+        if stage.name != "ground_truth"
+    )
     assert counters["cycle.frames_simulated"] > 0
     # The recomputed ground truth re-measures its own wall clock, so
     # time_speedup is the one value allowed to differ.

@@ -51,7 +51,7 @@ def test_replayed_capture_recovers_the_synthetic_plan(capture, tmp_path):
         synthetic = evaluate_benchmark("hcr", scale=SCALE)
         replayed = evaluate_benchmark(ref.name)
 
-    assert replayed.trace.frame_count == synthetic.trace.frame_count
+    assert replayed.profile.frame_count == synthetic.profile.frame_count
     assert replayed.plan.total_frames == synthetic.plan.total_frames
     # The capture is lossless, so the feature matrices — and therefore
     # the whole BIC search — coincide: identical cluster assignment.

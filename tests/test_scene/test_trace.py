@@ -118,9 +118,12 @@ class TestSerialization:
         assert restored.opaque == original.opaque
 
     def test_round_trip_file(self, tiny_trace, tmp_path):
-        path = tmp_path / "trace.json"
-        tiny_trace.save(path)
-        rebuilt = WorkloadTrace.load(path)
+        """A trace's one on-disk form is the megsim-workload capture."""
+        from repro.workloads.replay import export_workload_file, load_workload_file
+
+        path = tmp_path / "trace.jsonl"
+        export_workload_file(tiny_trace, path)
+        rebuilt = load_workload_file(path).build()
         assert rebuilt.frame_count == tiny_trace.frame_count
 
     def test_malformed_payload(self):

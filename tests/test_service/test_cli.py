@@ -29,7 +29,7 @@ def test_submit_serve_status_runs_round_trip(cli_env, capsys):
     assert main(["serve", "--once"]) == 0
     out = capsys.readouterr().out
     assert "completed=1" in out
-    assert "done=6" in out
+    assert "done=5" in out
 
     assert main(["status"]) == 0
     out = capsys.readouterr().out

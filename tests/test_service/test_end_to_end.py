@@ -27,6 +27,8 @@ from repro.store import ArtifactStore, store_scope
 
 ALIAS = "bbr1"
 SCALE = 0.02
+#: One job per stage the store persists; the trace has no job.
+PERSISTED = [stage for stage in STAGES if stage.encode is not None]
 
 
 @pytest.fixture
@@ -57,10 +59,10 @@ def test_serve_once_completes_a_submission(store, db_path):
 
     assert summary["requests"]["completed"] == 1
     assert summary["requests"]["failed"] == 0
-    assert summary["jobs"]["done"] == len(STAGES)
+    assert summary["jobs"]["done"] == len(PERSISTED)
     assert summary["results"] == 1
-    assert collector.counters["service.jobs.created"] == len(STAGES)
-    assert collector.counters["service.jobs.executed"] == len(STAGES)
+    assert collector.counters["service.jobs.created"] == len(PERSISTED)
+    assert collector.counters["service.jobs.executed"] == len(PERSISTED)
     for stage in STAGES:
         assert collector.counters[f"pipeline.computed.{stage.name}"] >= 1
 
@@ -101,9 +103,9 @@ def test_resubmission_is_fully_deduped(store, db_path):
         second = _submit(db_path)
         serve(db_path, once=True)
 
-    # Zero new stage work: no executions, no recomputations — the six
+    # Zero new stage work: no executions, no recomputations — the five
     # existing done jobs are linked to the new request as-is.
-    assert collector.counters["service.jobs.deduped.done"] == len(STAGES)
+    assert collector.counters["service.jobs.deduped.done"] == len(PERSISTED)
     assert "service.jobs.executed" not in collector.counters
     assert "service.jobs.created" not in collector.counters
     assert not any(
@@ -111,7 +113,7 @@ def test_resubmission_is_fully_deduped(store, db_path):
     )
 
     with ResultsDB(db_path) as db:
-        assert db.counts()["jobs"]["done"] == len(STAGES)
+        assert db.counts()["jobs"]["done"] == len(PERSISTED)
         assert db.result(second[0]) == db.result(first[0])
 
 
@@ -124,7 +126,7 @@ def test_artifacts_from_direct_runs_dedupe_into_the_service(store, db_path):
     with collecting() as collector:
         serve(db_path, once=True)
 
-    assert collector.counters["service.jobs.deduped.store"] == len(STAGES)
+    assert collector.counters["service.jobs.deduped.store"] == len(PERSISTED)
     assert "service.jobs.executed" not in collector.counters
     assert not any(
         name.startswith("pipeline.computed.") for name in collector.counters
@@ -146,7 +148,7 @@ def test_serve_with_worker_pool_matches_serial(store, db_path):
     summary = serve(db_path, once=True, parallel=ParallelConfig(jobs=2))
 
     assert summary["requests"]["completed"] == 1
-    assert summary["jobs"]["done"] == len(STAGES)
+    assert summary["jobs"]["done"] == len(PERSISTED)
     with ResultsDB(db_path) as db:
         result = db.result(ids[0])
     direct = evaluate_benchmark(ALIAS, scale=SCALE, use_cache=False)
@@ -209,7 +211,7 @@ def test_serve_persists_request_traces(store, db_path):
     assert artifact["meta"]["request_id"] == ids[0]
     names = sorted(root.name for root in artifact["roots"])
     assert names == sorted(
-        ["service.schedule"] + [f"service.job.{s.name}" for s in STAGES]
+        ["service.schedule"] + [f"service.job.{s.name}" for s in PERSISTED]
     )
     for root in artifact["roots"]:
         if root.name == "service.schedule":
@@ -232,7 +234,7 @@ def test_job_spans_carry_the_request_trace_id(store, db_path):
         record for record in collector.spans
         if record.name.startswith("service.job.")
     ]
-    assert len(job_spans) == len(STAGES)
+    assert len(job_spans) == len(PERSISTED)
     for record in job_spans:
         assert record.attrs["trace_id"] == trace_id
         assert record.attrs["request_id"] == ids[0]
@@ -300,7 +302,7 @@ class TestWorkloadSubmission:
     def test_scripted_request_completes_end_to_end(self, tmp_path):
         from repro.service import assemble_result
         from repro.service.codec import decode_request, encode_request
-        from repro.pipeline import run_pipeline, stage_fingerprints
+        from repro.pipeline import stage_fingerprints
 
         (request,) = build_requests(["hcr-flip"], scale=SCALE)
         # The database round trip a worker would see.
@@ -308,7 +310,6 @@ class TestWorkloadSubmission:
         store = ArtifactStore(tmp_path / "store")
         with store_scope(store):
             fingerprints = stage_fingerprints(request)
-            run_pipeline(request, store=store, fingerprints=fingerprints)
             document = assemble_result(request, store, fingerprints)
         assert document["benchmark"] == "hcr-flip"
         assert document["relative_errors"]

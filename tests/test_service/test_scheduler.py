@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.obs import collecting
@@ -18,6 +20,10 @@ def db(tmp_path):
         yield handle
 
 
+#: The stages the store persists: one job each.
+PERSISTED = [stage for stage in STAGES if stage.encode is not None]
+
+
 def _insert(db: ResultsDB, request: PipelineRequest) -> int:
     return db.insert_request(
         "fp-eval", request.alias, request.scale, request.options.seed, "{}"
@@ -30,10 +36,10 @@ def test_expansion_creates_one_job_per_stage(db):
     with collecting() as collector:
         jobs = expand_request(db, request_id, request)
 
-    assert set(jobs) == {stage.name for stage in STAGES}
-    assert collector.counters["service.jobs.created"] == len(STAGES)
+    assert set(jobs) == {stage.name for stage in PERSISTED}
+    assert collector.counters["service.jobs.created"] == len(PERSISTED)
     fps = stage_fingerprints(request)
-    for stage in STAGES:
+    for stage in PERSISTED:
         row = db.job(jobs[stage.name])
         assert row["status"] == "pending"
         assert row["source"] == "computed"
@@ -51,7 +57,7 @@ def test_identical_request_dedupes_onto_inflight_jobs(db):
     with collecting() as collector:
         jobs = expand_request(db, second, request)
 
-    assert collector.counters["service.jobs.deduped.inflight"] == len(STAGES)
+    assert collector.counters["service.jobs.deduped.inflight"] == len(PERSISTED)
     assert "service.jobs.created" not in collector.counters
     # Both requests share the same physical job rows.
     first_jobs = {row["id"] for row in db.jobs_for_request(first)}
@@ -69,7 +75,7 @@ def test_done_jobs_dedupe_as_done(db):
     second = _insert(db, request)
     with collecting() as collector:
         expand_request(db, second, request)
-    assert collector.counters["service.jobs.deduped.done"] == len(STAGES)
+    assert collector.counters["service.jobs.deduped.done"] == len(PERSISTED)
     assert "service.jobs.created" not in collector.counters
 
 
@@ -78,18 +84,18 @@ def test_materialized_artifacts_dedupe_against_the_store(db, tmp_path):
     are adopted as jobs born done, with ``source='store'``."""
     store = ArtifactStore(root=tmp_path / "store")
     request = PipelineRequest.create("bbr1", scale=0.05)
-    materialize_stage(request, "profile", store=store)  # trace + profile
+    # Builds the trace too, but only the profile reaches the disk.
+    materialize_stage(request, "profile", store=store)
 
     request_id = _insert(db, request)
     with collecting() as collector:
         jobs = expand_request(db, request_id, request, store=store)
 
-    assert collector.counters["service.jobs.deduped.store"] == 2
-    assert collector.counters["service.jobs.created"] == len(STAGES) - 2
-    for name in ("trace", "profile"):
-        row = db.job(jobs[name])
-        assert row["status"] == "done"
-        assert row["source"] == "store"
+    assert collector.counters["service.jobs.deduped.store"] == 1
+    assert collector.counters["service.jobs.created"] == len(PERSISTED) - 1
+    row = db.job(jobs["profile"])
+    assert row["status"] == "done"
+    assert row["source"] == "store"
     assert db.job(jobs["plan"])["status"] == "pending"
 
 
@@ -97,15 +103,15 @@ def test_expansion_requeues_failed_jobs(db):
     request = PipelineRequest.create("bbr1", scale=0.05)
     first = _insert(db, request)
     jobs = expand_request(db, first, request)
-    db.claim_job(jobs["trace"])
-    db.finish_job(jobs["trace"], error="TraceError: boom")
+    db.claim_job(jobs["profile"])
+    db.finish_job(jobs["profile"], error="TraceError: boom")
 
     second = _insert(db, request)
     with collecting() as collector:
         expand_request(db, second, request)
     assert collector.counters["service.jobs.retried"] == 1
-    assert db.job(jobs["trace"])["status"] == "pending"
-    assert db.job(jobs["trace"])["error"] is None
+    assert db.job(jobs["profile"])["status"] == "pending"
+    assert db.job(jobs["profile"])["error"] is None
 
 
 def test_downstream_jobs_wait_for_upstream_jobs(db):
@@ -114,4 +120,25 @@ def test_downstream_jobs_wait_for_upstream_jobs(db):
     jobs = expand_request(db, request_id, request)
 
     ready = {row["id"] for row in db.ready_jobs()}
-    assert ready == {jobs["trace"]}  # the only stage with no deps
+    # The two stages whose only upstream is the memory-only trace.
+    assert ready == {jobs["profile"], jobs["ground_truth"]}
+
+
+def test_request_expands_to_five_jobs_without_a_trace_job(db):
+    """The memory-only trace gets no job, and no job waits on it:
+    ``profile`` and ``ground_truth`` carry no deps, and every other
+    job's deps are persisted stages' fingerprints."""
+    request = PipelineRequest.create("bbr1", scale=0.05)
+    jobs = expand_request(db, _insert(db, request), request)
+
+    assert len(jobs) == 5
+    assert "trace" not in jobs
+    fps = stage_fingerprints(request)
+    deps = {
+        name: json.loads(db.job(job_id)["deps_json"]) for name, job_id in jobs.items()
+    }
+    assert deps["profile"] == []
+    assert deps["ground_truth"] == []
+    assert deps["plan"] == [fps["profile"]]
+    assert deps["representatives"] == [fps["plan"]]
+    assert deps["estimate"] == [fps["plan"], fps["representatives"]]
