@@ -274,6 +274,7 @@ trap 'rm -rf "$GATE_TMP" "$STORE_TMP" "$SERVICE_TMP" "$REPLAY_TMP"' EXIT
 MEGSIM_STORE="$REPLAY_TMP/store" python -m repro export-trace hcr \
     --scale 0.05 --out "$REPLAY_TMP/hcr.jsonl"
 MEGSIM_STORE="$REPLAY_TMP/store" python - "$REPLAY_TMP/hcr.jsonl" <<'EOF'
+import hashlib
 import sys
 
 import numpy as np
@@ -284,6 +285,12 @@ from repro.pipeline import PipelineRequest, stage_fingerprints
 from repro.workloads.registry import register_workload_file
 
 capture = sys.argv[1]
+# The capture's bytes are pinned: the generator and the capture writer
+# render exactly the bytes they always have.
+digest = hashlib.sha256(open(capture, "rb").read()).hexdigest()
+assert digest == (
+    "ca14b2cdff377153053a11b9dc05c617633e8f394e5939490df51ea7c4e67d42"
+), f"exported hcr capture bytes changed (sha256 {digest})"
 ref = register_workload_file(capture)
 first = stage_fingerprints(PipelineRequest.create(ref.name))
 second = stage_fingerprints(PipelineRequest.create(ref.name))
@@ -302,6 +309,11 @@ def labels(plan):
 
 ari = adjusted_rand_index(labels(synthetic.plan), labels(replayed.plan))
 assert ari == 1.0, f"replayed clustering diverged (rand index {ari})"
+# The capture is lossless, so the replayed evaluation is the synthetic
+# one exactly: same plan, same estimate, same ground truth.
+assert replayed.plan.to_dict() == synthetic.plan.to_dict(), "replayed plan differs"
+assert replayed.estimate == synthetic.estimate, "replayed estimate differs"
+assert replayed.totals == synthetic.totals, "replayed ground truth differs"
 for metric, error in replayed.relative_errors().items():
     drift = abs(error - synthetic.relative_errors()[metric])
     assert drift <= 0.005, (

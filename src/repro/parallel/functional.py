@@ -2,8 +2,9 @@
 
 The functional pass is embarrassingly parallel —
 :meth:`~repro.gpu.functional_sim.FunctionalSimulator.profile_frames` has
-no cross-frame state — so :func:`profile_parallel` chunks the frame
-index range, profiles chunks in worker processes, and reassembles the
+no cross-frame state — so :func:`profile_parallel` slices the trace's
+draw table into contiguous chunks, ships each slice to a worker process
+as its task, and reassembles the
 :class:`~repro.gpu.functional_sim.FrameProfile` list in frame order.
 The per-frame profiles are computed by exactly the same code as the
 serial pass, so for any jobs value the resulting
@@ -25,12 +26,11 @@ from repro.parallel.pool import get_state, parallel_map
 from repro.scene.trace import WorkloadTrace
 
 
-def _profile_chunk(bounds: tuple[int, int]) -> list[FrameProfile]:
-    """Worker: profile one contiguous chunk of the shared trace."""
-    trace: WorkloadTrace = get_state("trace")
+def _profile_chunk(chunk: tuple[int, WorkloadTrace]) -> list[FrameProfile]:
+    """Worker: profile one slice of the trace, numbered from its start."""
     simulator: FunctionalSimulator = get_state("simulator")
-    start, stop = bounds
-    return simulator.profile_frames(trace.frames[start:stop], trace)
+    start, piece = chunk
+    return simulator.profile_frames(piece, first_frame=start)
 
 
 def profile_parallel(
@@ -67,9 +67,9 @@ def profile_parallel(
     ) as timing:
         chunked = parallel_map(
             _profile_chunk,
-            chunks,
+            [(start, trace.slice(start, stop)) for start, stop in chunks],
             parallel=pool_config,
-            state={"trace": trace, "simulator": simulator},
+            state={"simulator": simulator},
         )
         profiles = tuple(profile for chunk in chunked for profile in chunk)
         counter("functional.frames_profiled", trace.frame_count)

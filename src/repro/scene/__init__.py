@@ -11,6 +11,7 @@ from repro.scene.shader import FilterMode, ShaderKind, ShaderProgram, TextureSam
 from repro.scene.mesh import Mesh, Texture
 from repro.scene.draw import DrawCall
 from repro.scene.frame import Camera, Frame
+from repro.scene.table import DrawTable
 from repro.scene.trace import WorkloadTrace
 
 __all__ = [
@@ -24,5 +25,6 @@ __all__ = [
     "DrawCall",
     "Camera",
     "Frame",
+    "DrawTable",
     "WorkloadTrace",
 ]

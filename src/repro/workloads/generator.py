@@ -28,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.scene.draw import DrawCall
-from repro.scene.frame import Camera, Frame
+from repro.scene.frame import Camera
 from repro.scene.mesh import Mesh, Texture
 from repro.scene.shader import FilterMode, ShaderKind, ShaderProgram, TextureSample
+from repro.scene.table import DrawTable, DrawTableBuilder
 from repro.scene.trace import WorkloadTrace
-from repro.scene.vectors import Vec3
 from repro.workloads.specs import GameSpec, PhaseSpec
 
 # Address-space layout: resources are placed on megabyte boundaries so
@@ -101,7 +100,7 @@ class GameWorkloadGenerator:
             )
             for phase in spec.phases
         }
-        frames = self._play_script(rng, templates)
+        draws = self._play_script(rng, templates)
         labels = tuple(
             entry.phase
             for entry in spec.script
@@ -113,7 +112,7 @@ class GameWorkloadGenerator:
             fragment_shaders=fragment_shaders,
             meshes=meshes,
             textures=textures,
-            frames=frames,
+            draws=draws,
         )
         return trace, labels
 
@@ -337,14 +336,14 @@ class GameWorkloadGenerator:
         self,
         rng: np.random.Generator,
         templates: dict[str, tuple[_Template, ...]],
-    ) -> tuple[Frame, ...]:
+    ) -> DrawTable:
         spec = self.spec
         camera = (
             Camera(orthographic=True, ortho_height=_ORTHO_HEIGHT)
             if spec.game_type == "2D"
             else Camera(fov_y_degrees=60.0)
         )
-        frames: list[Frame] = []
+        builder = DrawTableBuilder()
         frame_id = 0
         for entry in spec.script:
             phase = spec.phase_by_name(entry.phase)
@@ -355,26 +354,26 @@ class GameWorkloadGenerator:
             segment_phase = float(rng.uniform(0.0, 1.0))
             for t in range(entry.frames):
                 u = t / max(entry.frames - 1, 1)
-                frames.append(
-                    self._make_frame(
-                        frame_id,
-                        camera,
-                        phase,
-                        phase_templates,
-                        rng,
-                        global_t=frame_id,
-                        segment_u=u,
-                        segment_shift=segment_shift,
-                        segment_phase=segment_phase,
-                    )
+                builder.add_frame(
+                    camera.position.as_tuple(), camera.fov_y_degrees,
+                    camera.orthographic, camera.ortho_height, camera.near,
+                )
+                self._make_frame(
+                    builder,
+                    phase,
+                    phase_templates,
+                    rng,
+                    global_t=frame_id,
+                    segment_u=u,
+                    segment_shift=segment_shift,
+                    segment_phase=segment_phase,
                 )
                 frame_id += 1
-        return tuple(frames)
+        return builder.build()
 
     def _make_frame(
         self,
-        frame_id: int,
-        camera: Camera,
+        builder: DrawTableBuilder,
         phase: PhaseSpec,
         phase_templates: tuple[_Template, ...],
         rng: np.random.Generator,
@@ -382,7 +381,8 @@ class GameWorkloadGenerator:
         segment_u: float,
         segment_shift: float,
         segment_phase: float,
-    ) -> Frame:
+    ) -> None:
+        """Append one frame's draws (the frame is already started)."""
         spec = self.spec
         # Slow intensity drift across the segment (load ramps within a
         # gameplay stretch), plus the per-segment shift.
@@ -390,7 +390,7 @@ class GameWorkloadGenerator:
             math.pi * segment_u + 2.0 * math.pi * segment_phase
         )
         drift *= 1.0 + segment_shift
-        draw_calls = []
+        drawn = 0
         for template in phase_templates:
             activity = math.sin(
                 2.0 * math.pi
@@ -405,7 +405,7 @@ class GameWorkloadGenerator:
             noise = 1.0 + 0.02 * phase.motion * float(rng.standard_normal())
             scale = template.base_scale * drift * noise
             if spec.game_type == "2D":
-                position = Vec3(
+                position = (
                     template.base_dx + 1.5 * phase.motion * wobble,
                     template.base_dy + 0.5 * phase.motion * wobble,
                     0.0,
@@ -415,7 +415,7 @@ class GameWorkloadGenerator:
                     1.0 - 0.25 * phase.motion * wobble
                 ) / drift
                 distance = max(distance, 2.0)
-                position = Vec3(
+                position = (
                     template.base_dx * (1.0 + 0.1 * phase.motion * wobble),
                     template.base_dy,
                     -distance,
@@ -423,35 +423,33 @@ class GameWorkloadGenerator:
             instances = max(
                 1, int(round(template.instance_base * drift + 0.3 * wobble))
             )
-            draw_calls.append(
-                DrawCall(
-                    mesh=template.mesh,
-                    vertex_shader=template.vertex_shader,
-                    fragment_shader=template.fragment_shader,
-                    texture_ids=template.texture_ids,
-                    position=position,
-                    scale=max(scale, 0.05),
-                    instance_count=instances,
-                    overdraw=template.overdraw,
-                    opaque=template.opaque,
-                    depth_layer=template.depth_layer,
-                )
+            # A generated mesh's id is its row of the mesh table.
+            builder.add_draw(
+                template.mesh.mesh_id,
+                template.vertex_shader.shader_id,
+                template.fragment_shader.shader_id,
+                template.texture_ids,
+                position,
+                max(scale, 0.05),
+                instances,
+                template.overdraw,
+                template.opaque,
+                template.depth_layer,
             )
-        if not draw_calls:
+            drawn += 1
+        if not drawn:
             # Degenerate gating (tiny segments): keep at least one call so
             # the frame renders something.
             template = phase_templates[0]
-            draw_calls.append(
-                DrawCall(
-                    mesh=template.mesh,
-                    vertex_shader=template.vertex_shader,
-                    fragment_shader=template.fragment_shader,
-                    texture_ids=template.texture_ids,
-                    position=Vec3(0.0, 0.0, -template.base_distance),
-                    scale=template.base_scale,
-                    overdraw=template.overdraw,
-                    opaque=template.opaque,
-                    depth_layer=template.depth_layer,
-                )
+            builder.add_draw(
+                template.mesh.mesh_id,
+                template.vertex_shader.shader_id,
+                template.fragment_shader.shader_id,
+                template.texture_ids,
+                (0.0, 0.0, -template.base_distance),
+                template.base_scale,
+                1,
+                template.overdraw,
+                template.opaque,
+                template.depth_layer,
             )
-        return Frame(frame_id=frame_id, camera=camera, draw_calls=tuple(draw_calls))

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ConfigError, TraceError
-from repro.scene.draw import DrawCall
-from repro.scene.frame import Camera, Frame
 from repro.scene.mesh import Mesh, Texture
 from repro.scene.shader import (
     FilterMode,
@@ -37,8 +35,8 @@ from repro.scene.shader import (
     ShaderProgram,
     TextureSample,
 )
+from repro.scene.table import DrawTableBuilder
 from repro.scene.trace import WorkloadTrace
-from repro.scene.vectors import Vec3
 from repro.store.fingerprint import payload_digest
 from repro.workloads.base import Workload, WorkloadRef
 
@@ -259,30 +257,31 @@ def _parse_csv(text: str, *, name: str, path: str) -> WorkloadTrace:
     textures: dict[tuple[int, int, int], Texture] = {}
     mesh_cursor = 0
     texture_cursor = _TEXTURE_REGION
-    frames: list[tuple[int, Camera, list[dict]]] = []
+    builder = DrawTableBuilder()
+    frame_key: int | None = None
 
     for number, row in enumerate(reader, start=2):
         try:
-            frame_key = int(row["frame"])
-            if not frames or frames[-1][0] != frame_key:
-                if frames and frame_key < frames[-1][0]:
+            key = int(row["frame"])
+            if key != frame_key:
+                if frame_key is not None and key < frame_key:
                     raise ConfigError(
                         f"{path}: row {number}: frame ids must be "
-                        f"non-decreasing ({frame_key} after {frames[-1][0]})"
+                        f"non-decreasing ({key} after {frame_key})"
                     )
-                camera = Camera(
-                    position=Vec3(
+                frame_key = key
+                builder.add_frame(
+                    (
                         float(row["cam_x"]), float(row["cam_y"]),
                         float(row["cam_z"]),
                     ),
-                    fov_y_degrees=float(row["fov_y"]),
-                    orthographic=_parse_bool(
+                    float(row["fov_y"]),
+                    _parse_bool(
                         row["ortho"], path=path, row=number, column="ortho"
                     ),
-                    ortho_height=float(row["ortho_height"]),
-                    near=float(row["near"]),
+                    float(row["ortho_height"]),
+                    float(row["near"]),
                 )
-                frames.append((frame_key, camera, []))
 
             vs_alu = int(row["vs_alu"])
             if vs_alu not in vertex_shaders:
@@ -343,30 +342,30 @@ def _parse_csv(text: str, *, name: str, path: str) -> WorkloadTrace:
                 span = texture.size_bytes
                 texture_cursor += span + (-span % _ADDRESS_ALIGN)
 
-            frames[-1][2].append(
-                {
-                    "mesh": meshes[mesh_key],
-                    "vertex_shader": vertex_shaders[vs_alu],
-                    "fragment_shader": fragment_shaders[fs_key],
-                    "texture_ids": (textures[tex_key].texture_id,),
-                    "position": Vec3(
-                        float(row["pos_x"]), float(row["pos_y"]),
-                        float(row["pos_z"]),
-                    ),
-                    "scale": float(row["draw_scale"]),
-                    "instance_count": int(row["instances"]),
-                    "overdraw": float(row["overdraw"]),
-                    "opaque": _parse_bool(
-                        row["opaque"], path=path, row=number, column="opaque"
-                    ),
-                    "depth_layer": int(row["depth_layer"]),
-                }
+            # Meshes are numbered in first-appearance order, so a mesh's
+            # id is its row of the mesh table.
+            builder.add_draw(
+                meshes[mesh_key].mesh_id,
+                vertex_shaders[vs_alu].shader_id,
+                fragment_shaders[fs_key].shader_id,
+                (textures[tex_key].texture_id,),
+                (
+                    float(row["pos_x"]), float(row["pos_y"]),
+                    float(row["pos_z"]),
+                ),
+                float(row["draw_scale"]),
+                int(row["instances"]),
+                float(row["overdraw"]),
+                _parse_bool(
+                    row["opaque"], path=path, row=number, column="opaque"
+                ),
+                int(row["depth_layer"]),
             )
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError, TraceError) as exc:
             raise ConfigError(f"{path}: row {number}: {exc}") from exc
-    if not frames:
+    if frame_key is None:
         raise ConfigError(f"{path}: CSV capture contains no draw rows")
 
     # Dense shader ids were assigned in first-appearance order; re-key the
@@ -377,14 +376,6 @@ def _parse_csv(text: str, *, name: str, path: str) -> WorkloadTrace:
     fs_table = tuple(
         sorted(fragment_shaders.values(), key=lambda s: s.shader_id)
     )
-    built_frames = tuple(
-        Frame(
-            frame_id=index,
-            camera=camera,
-            draw_calls=tuple(DrawCall(**dc) for dc in draws),
-        )
-        for index, (_, camera, draws) in enumerate(frames)
-    )
     try:
         return WorkloadTrace(
             name=name,
@@ -394,7 +385,7 @@ def _parse_csv(text: str, *, name: str, path: str) -> WorkloadTrace:
             textures=tuple(
                 sorted(textures.values(), key=lambda t: t.texture_id)
             ),
-            frames=built_frames,
+            draws=builder.build(),
         )
     except TraceError as exc:
         raise ConfigError(f"{path}: invalid capture: {exc}") from exc

@@ -109,7 +109,7 @@ def tiny_trace(simple_mesh, vertex_shader, fragment_shader, texture) -> Workload
             overdraw=1.5,
         )
         frames.append(Frame(frame_id=frame_id, camera=camera, draw_calls=(dc,)))
-    return WorkloadTrace(
+    return WorkloadTrace.from_frames(
         name="tiny",
         vertex_shaders=(vertex_shader,),
         fragment_shaders=(fragment_shader,),

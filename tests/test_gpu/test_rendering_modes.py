@@ -97,7 +97,7 @@ def painter_order_trace(simple_mesh, vertex_shader, fragment_shader, texture):
         Frame(frame_id=i, camera=camera, draw_calls=draw_calls)
         for i in range(3)
     )
-    return WorkloadTrace(
+    return WorkloadTrace.from_frames(
         name="painter", vertex_shaders=(vertex_shader,),
         fragment_shaders=(fragment_shader,), meshes=(simple_mesh,),
         textures=(texture,), frames=frames,
@@ -130,7 +130,7 @@ class TestIMRFullyOccludedTransparent:
             frame_id=0, camera=Camera(),
             draw_calls=(occluder, hidden_transparent),
         )
-        trace = WorkloadTrace(
+        trace = WorkloadTrace.from_frames(
             name="occluded", vertex_shaders=(vertex_shader,),
             fragment_shaders=(fragment_shader,), meshes=(simple_mesh,),
             textures=(texture,), frames=(frame,),

@@ -60,7 +60,7 @@ def traces():
             Frame(frame_id=i, camera=Camera(), draw_calls=tuple(calls))
             for i, calls in enumerate(frames_calls)
         )
-        return WorkloadTrace(
+        return WorkloadTrace.from_frames(
             name="fuzz",
             vertex_shaders=(VS,),
             fragment_shaders=(FS_PLAIN, FS_TEXTURED),

@@ -84,7 +84,10 @@ def drawn_trace() -> WorkloadTrace:
         dataclasses.replace(frame, frame_id=index)
         for index, frame in enumerate(trace.frames[::13][:6])
     )
-    return dataclasses.replace(trace, name="asp-drawn", frames=frames)
+    return WorkloadTrace.from_frames(
+        "asp-drawn", trace.vertex_shaders, trace.fragment_shaders,
+        trace.meshes, trace.textures, frames,
+    )
 
 
 @st.composite

@@ -78,7 +78,7 @@ def phased_trace() -> WorkloadTrace:
         frames.append(
             Frame(frame_id=frame_id, camera=camera, draw_calls=draw_calls)
         )
-    return WorkloadTrace(
+    return WorkloadTrace.from_frames(
         name="phased256",
         vertex_shaders=(vertex_shader,),
         fragment_shaders=(fragment_shader,),

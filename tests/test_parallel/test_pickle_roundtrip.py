@@ -39,7 +39,7 @@ class TestWorkerBoundaryPickling:
 
     def test_frame_profile(self, tiny_trace):
         profile = FunctionalSimulator().profile_frames(
-            [tiny_trace.frames[0]], tiny_trace
+            tiny_trace.slice(0, 1)
         )[0]
         restored = pickle.loads(pickle.dumps(profile))
         _assert_profiles_equal(restored, profile)
@@ -56,7 +56,7 @@ class TestWorkerBoundaryPickling:
         # process boundary under the spawn start method too.
         functional = pickle.loads(pickle.dumps(FunctionalSimulator()))
         cycle = pickle.loads(pickle.dumps(CycleAccurateSimulator()))
-        profile = functional.profile_frames([tiny_trace.frames[0]], tiny_trace)[0]
+        profile = functional.profile_frames(tiny_trace.slice(0, 1))[0]
         assert profile.primitives > 0
         result = cycle.simulate(tiny_trace, frame_ids=[0])
         assert result.frame_stats[0].cycles > 0
