@@ -323,9 +323,3 @@ for metric, error in replayed.relative_errors().items():
 print(f"replay determinism gate: OK (rand index {ari}, "
       f"trace fingerprint {first['trace'][:12]})")
 EOF
-
-# The parallel-scaling bench (docs/parallelism.md) is self-contained and
-# run by path: it writes the untracked benchmarks/reports/parallel_scaling.txt
-# and asserts >=2x at 4 workers when the host has 4 CPUs.
-echo "== parallel scaling bench =="
-python -m pytest -q benchmarks/bench_parallel_scaling.py

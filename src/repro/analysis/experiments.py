@@ -56,6 +56,8 @@ from repro.errors import AnalysisError
 from repro.gpu.config import default_config
 from repro.gpu.stats import KEY_METRICS
 from repro.obs import span
+from repro.pipeline import PipelineRequest, materialize_stage
+from repro.store import get_store
 from repro.workloads.benchmarks import BENCHMARKS, benchmark_aliases
 
 #: Paper reference numbers, used in side-by-side reports.
@@ -305,11 +307,22 @@ def fig4_claims(data: dict, scale: float) -> list[str]:
 # Figures 5 and 6.
 # ----------------------------------------------------------------------
 
+def _profile_features(alias: str, scale: float) -> np.ndarray:
+    """The feature matrix of one workload's functional profile.
+
+    Only the ``profile`` stage is materialized: the figures need no
+    ground truth and no representative simulation.
+    """
+    request = PipelineRequest.create(alias, scale=scale)
+    profile = materialize_stage(request, "profile", store=get_store())
+    features, _ = build_feature_matrix(profile)
+    return features
+
+
 def fig5_similarity(alias: str = "bbr1", frames: int = 900,
                     scale: float = 1.0, width: int = 60) -> ExperimentResult:
     """Figure 5: the similarity matrix of a bbr sequence prefix."""
-    evaluation = evaluate_benchmark(alias, scale=scale)
-    features, _ = build_feature_matrix(evaluation.profile)
+    features = _profile_features(alias, scale)
     frames = min(frames, features.shape[0])
     distances = similarity_matrix(features[:frames], upper_only=False)
     art = render_similarity_matrix(distances, width=width)
@@ -344,8 +357,7 @@ def fig6_clusters(alias: str = "bbr1", frames: int = 900,
     """Figure 6: k-means clusters drawn along the matrix diagonal."""
     from repro.core.cluster_search import search_clustering
 
-    evaluation = evaluate_benchmark(alias, scale=scale)
-    features, _ = build_feature_matrix(evaluation.profile)
+    features = _profile_features(alias, scale)
     frames = min(frames, features.shape[0])
     search = search_clustering(features[:frames])
     labels = search.clustering.labels

@@ -59,7 +59,7 @@ from repro.analysis.experiments import (
     run_experiment,
 )
 from repro.bench import DEFAULT_THRESHOLD, SUITE_SCALES, SUITES, suite_scale
-from repro.core.sampler import MEGsim, MEGsimOptions
+from repro.core.sampler import MEGsimOptions
 from repro.errors import ConfigError
 from repro.obs import (
     Collector,
@@ -75,12 +75,12 @@ from repro.parallel import (
     JOBS_ENV_VAR,
     ParallelConfig,
     parallel_map,
-    profile_parallel,
     resolve_jobs,
 )
 from repro.gpu.config import CYCLE_BACKENDS, cycle_scope
+from repro.pipeline import PipelineRequest, materialize_stage
 from repro.store import get_store, memory_store, store_scope
-from repro.workloads.benchmarks import benchmark_aliases, make_benchmark
+from repro.workloads.benchmarks import benchmark_aliases
 from repro.workloads.registry import (
     BUILTIN_WORKLOADS,
     get_workload,
@@ -111,7 +111,7 @@ def _add_workload(parser: argparse.ArgumentParser, help_text: str) -> None:
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", "-j", metavar="N", default=None,
-        help="worker processes for parallelizable stages: a positive "
+        help="worker processes for the command's fan-out: a positive "
              "number or 'auto' (all available CPUs); defaults to the "
              "MEGSIM_JOBS environment variable, else 1 (serial). "
              "Results are byte-identical for any value "
@@ -207,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "list'); alternative to --workload")
     _add_scale(plan)
     _add_workload(plan, "workload to plan")
-    _add_jobs(plan)
     _add_store(plan)
     _add_obs(plan)
 
@@ -255,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--outdir", default=".",
                          help="directory for fig5.pgm / fig6.ppm")
     _add_scale(figures)
-    _add_jobs(figures)
     _add_store(figures)
     _add_obs(figures)
 
@@ -478,13 +476,16 @@ def _jobs_facts(args: argparse.Namespace) -> tuple[str | None, int | None]:
     ``requested`` is the raw ``--jobs`` value, falling back to the
     ``MEGSIM_JOBS`` environment variable; ``resolved`` is the worker
     count it maps to, or ``None`` when the request is malformed (the
-    command itself will then fail with the real error message).
+    command itself will then fail with the real error message).  Both
+    are ``None`` for a command without a fan-out (no ``--jobs`` flag).
     """
-    requested = getattr(args, "jobs", None)
+    if not hasattr(args, "jobs"):
+        return None, None
+    requested = args.jobs
     if requested is None:
         requested = os.environ.get(JOBS_ENV_VAR)
     try:
-        resolved = resolve_jobs(getattr(args, "jobs", None))
+        resolved = resolve_jobs(args.jobs)
     except ConfigError:
         resolved = None
     return requested, resolved
@@ -700,11 +701,10 @@ def _run_command(args: argparse.Namespace) -> int:
 
     if args.command == "plan":
         key = _require_workload_key(args, "plan")
-        trace = get_workload(key).build(scale=args.scale)
-        profile = profile_parallel(
-            trace, parallel=ParallelConfig.from_cli(args.jobs)
+        plan = materialize_stage(
+            PipelineRequest.create(key, scale=args.scale), "plan",
+            store=get_store(),
         )
-        plan = MEGsim().plan_from_profile(profile)
         print(
             f"{key}: {plan.total_frames} frames -> "
             f"{plan.selected_frame_count} representatives "
@@ -722,10 +722,7 @@ def _run_command(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "figures":
-        _figures(
-            args.benchmark, args.frames, args.scale, args.outdir,
-            jobs=args.jobs,
-        )
+        _figures(args.benchmark, args.frames, args.scale, args.outdir)
         return 0
 
     return 1  # unreachable: argparse enforces the command set
@@ -951,33 +948,23 @@ def _inspect(alias: str, scale: float) -> None:
                       for m, e in evaluation.relative_errors().items()))
 
 
-def _figures(
-    alias: str, frames: int, scale: float, outdir: str,
-    jobs: str | int | None = None,
-) -> None:
+def _figures(alias: str, frames: int, scale: float, outdir: str) -> None:
     """Write Figure 5/6 images for one benchmark."""
-    from pathlib import Path
-
     from repro.analysis.images import cluster_image, similarity_image
-    from repro.core.cluster_search import search_clustering
-    from repro.core.features import build_feature_matrix
-    from repro.core.similarity import similarity_matrix
 
-    trace = make_benchmark(alias, scale=scale)
-    profile = profile_parallel(trace, parallel=ParallelConfig.from_cli(jobs))
-    features, _ = build_feature_matrix(profile)
-    frames = min(frames, features.shape[0])
-    distances = similarity_matrix(features[:frames], upper_only=False)
-    search = search_clustering(features[:frames])
+    fig5 = run_experiment("fig5", alias=alias, frames=frames, scale=scale)
+    fig6 = run_experiment("fig6", alias=alias, frames=frames, scale=scale)
+    distances = fig5.data["distances"]
+    frames = fig5.data["frames"]
 
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    fig5 = out / f"fig5_{alias}.pgm"
-    fig6 = out / f"fig6_{alias}.ppm"
-    similarity_image(distances, fig5)
-    cluster_image(distances, search.clustering.labels, fig6)
-    print(f"wrote {fig5} ({frames}x{frames}, dark = similar)")
-    print(f"wrote {fig6} (k={search.chosen_k} clusters along the diagonal)")
+    fig5_path = out / f"fig5_{alias}.pgm"
+    fig6_path = out / f"fig6_{alias}.ppm"
+    similarity_image(distances, fig5_path)
+    cluster_image(distances, fig6.data["labels"], fig6_path)
+    print(f"wrote {fig5_path} ({frames}x{frames}, dark = similar)")
+    print(f"wrote {fig6_path} (k={fig6.data['k']} clusters along the diagonal)")
 
 
 if __name__ == "__main__":

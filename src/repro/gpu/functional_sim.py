@@ -147,43 +147,6 @@ class FunctionalSimulator:
     def __init__(self, config: GPUConfig | None = None) -> None:
         self.config = config if config is not None else default_config()
 
-    def profile_frames(
-        self, trace: WorkloadTrace, first_frame: int = 0
-    ) -> list[FrameProfile]:
-        """Profile every frame of ``trace`` from one columnar work pass.
-
-        ``first_frame`` is the id of the trace's first frame in the
-        sequence it was sliced from; profiles are numbered from it.
-        """
-        draws = trace.draws
-        resources = trace.resources
-        work = compute_work_columns(draws, resources, self.config)
-        frames = draws.frame_count
-        vs, fs = draws.vertex_shader, draws.fragment_shader
-        frame_of = draws.frame_of()
-        vs_exec = np.zeros((frames, len(trace.vertex_shaders)), dtype=np.int64)
-        fs_exec = np.zeros((frames, len(trace.fragment_shaders)), dtype=np.int64)
-        np.add.at(vs_exec, (frame_of, vs), work.vertices_shaded)
-        np.add.at(fs_exec, (frame_of, fs), work.fragments_shaded)
-        primitives = work.frame_sums(work.primitives_binned).tolist()
-        vertex_instructions = work.frame_sums(
-            work.vertices_shaded * resources.vs_instructions[vs]
-        ).tolist()
-        fragment_instructions = work.frame_sums(
-            work.fragments_shaded * resources.fs_instructions[fs]
-        ).tolist()
-        return [
-            FrameProfile(
-                frame_id=first_frame + slot,
-                vs_executions=vs_exec[slot],
-                fs_executions=fs_exec[slot],
-                primitives=primitives[slot],
-                vertex_instructions=vertex_instructions[slot],
-                fragment_instructions=fragment_instructions[slot],
-            )
-            for slot in range(frames)
-        ]
-
     def profile(self, trace: WorkloadTrace) -> SequenceProfile:
         """Profile every frame of ``trace``."""
         if trace.frame_count == 0:
@@ -191,7 +154,38 @@ class FunctionalSimulator:
         with span(
             "functional.profile", trace=trace.name, frames=trace.frame_count
         ) as timing:
-            profiles = tuple(self.profile_frames(trace))
+            draws = trace.draws
+            resources = trace.resources
+            work = compute_work_columns(draws, resources, self.config)
+            frames = draws.frame_count
+            vs, fs = draws.vertex_shader, draws.fragment_shader
+            frame_of = draws.frame_of()
+            vs_exec = np.zeros(
+                (frames, len(trace.vertex_shaders)), dtype=np.int64
+            )
+            fs_exec = np.zeros(
+                (frames, len(trace.fragment_shaders)), dtype=np.int64
+            )
+            np.add.at(vs_exec, (frame_of, vs), work.vertices_shaded)
+            np.add.at(fs_exec, (frame_of, fs), work.fragments_shaded)
+            primitives = work.frame_sums(work.primitives_binned).tolist()
+            vertex_instructions = work.frame_sums(
+                work.vertices_shaded * resources.vs_instructions[vs]
+            ).tolist()
+            fragment_instructions = work.frame_sums(
+                work.fragments_shaded * resources.fs_instructions[fs]
+            ).tolist()
+            profiles = tuple(
+                FrameProfile(
+                    frame_id=frame,
+                    vs_executions=vs_exec[frame],
+                    fs_executions=fs_exec[frame],
+                    primitives=primitives[frame],
+                    vertex_instructions=vertex_instructions[frame],
+                    fragment_instructions=fragment_instructions[frame],
+                )
+                for frame in range(frames)
+            )
             counter("functional.frames_profiled", trace.frame_count)
         return SequenceProfile(
             trace_name=trace.name,

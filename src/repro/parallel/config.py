@@ -1,10 +1,11 @@
-"""Parallel execution configuration: worker count and chunking.
+"""Parallel execution configuration: the worker count.
 
-One :class:`ParallelConfig` drives every pooled stage of the pipeline
-(functional profiling, whole-experiment fan-out).  ``jobs=1`` is the serial fallback — the pool machinery is
-bypassed entirely and work runs inline, which is also the reference
-point of the determinism contract (see ``docs/parallelism.md``): for any
-jobs value the merged results are byte-identical to the ``jobs=1`` run.
+One :class:`ParallelConfig` drives every pooled fan-out (campaign
+steps, benchmark specs, service job waves).  ``jobs=1`` is the serial
+fallback — the pool machinery is bypassed entirely and work runs
+inline, which is also the reference point of the determinism contract
+(see ``docs/parallelism.md``): for any jobs value the merged results
+are byte-identical to the ``jobs=1`` run.
 
 Worker-count resolution mirrors the CLI surface: an explicit ``--jobs``
 value wins, then the ``MEGSIM_JOBS`` environment variable, then the
@@ -68,50 +69,21 @@ def resolve_jobs(jobs: int | str | None = None) -> int:
 
 @dataclass(frozen=True, slots=True)
 class ParallelConfig:
-    """How a pooled stage distributes its work.
+    """How a pooled fan-out distributes its work.
 
     Attributes:
         jobs: worker processes; 1 means run serially in-process.
-        chunk_size: items per dispatched task.  ``None`` picks a size
-            that gives each worker a few tasks for load balancing
-            (see :func:`chunk_indices`).
     """
 
     jobs: int = 1
-    chunk_size: int | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.jobs, bool) or not isinstance(self.jobs, int):
             raise ConfigError(f"jobs must be an int, got {self.jobs!r}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ConfigError(
-                f"chunk_size must be >= 1 or None, got {self.chunk_size}"
-            )
 
     @classmethod
-    def from_cli(
-        cls, jobs: int | str | None = None, chunk_size: int | None = None
-    ) -> "ParallelConfig":
+    def from_cli(cls, jobs: int | str | None = None) -> "ParallelConfig":
         """Build a config from a raw ``--jobs`` value (or the environment)."""
-        return cls(jobs=resolve_jobs(jobs), chunk_size=chunk_size)
-
-
-def chunk_indices(
-    count: int, parallel: ParallelConfig
-) -> list[tuple[int, int]]:
-    """Split ``range(count)`` into ordered, contiguous ``(start, stop)`` chunks.
-
-    With an explicit ``chunk_size`` every chunk (except possibly the
-    last) has that size; otherwise the default gives each worker about
-    four chunks, which balances load without drowning the pool in tiny
-    tasks.  Concatenating the chunks in list order always reproduces
-    ``range(count)`` — the property the ordered merges rely on.
-    """
-    if count <= 0:
-        return []
-    size = parallel.chunk_size
-    if size is None:
-        size = max(1, -(-count // (parallel.jobs * 4)))
-    return [(start, min(start + size, count)) for start in range(0, count, size)]
+        return cls(jobs=resolve_jobs(jobs))

@@ -1,6 +1,6 @@
 """Deterministic process-pool map with observability round-tripping.
 
-:func:`parallel_map` is the one primitive every pooled stage builds on:
+:func:`parallel_map` is the one primitive every pooled fan-out builds on:
 it applies a picklable worker function to a list of items and returns
 the results *in item order*, regardless of which worker finished first.
 Ordered results are what make parallel runs byte-identical to serial
@@ -12,7 +12,7 @@ Mechanics:
   in order, with the same worker state installed — so the serial and
   pooled code paths are literally the same function applied to the same
   items.
-* Workers receive shared, read-only state (a trace, a GPU config)
+* Workers receive shared, read-only state (a store root, a scale)
   through :func:`get_state`, installed once per worker process by the
   pool initializer.  Under the ``fork`` start method (preferred when
   available) that state is inherited by copy-on-write and never
@@ -151,8 +151,7 @@ def parallel_map(
             _install_state(previous)
 
     # Batch items so each worker gets a handful of tasks (load balance
-    # without per-item IPC).  Note config.chunk_size is *not* used here:
-    # it is the stage-level chunking knob consumed by chunk_indices().
+    # without per-item IPC).
     chunksize = max(1, -(-len(work) // (jobs * 4)))
     with ProcessPoolExecutor(
         max_workers=jobs,

@@ -16,15 +16,18 @@ Concurrency and integrity rules:
   (including a concurrent :mod:`repro.parallel` worker) never observes
   a half-written artifact.  Two processes racing to write the same
   fingerprint produce identical bytes, so either replace wins.
-* **Hash-on-read** — :meth:`DiskTier.read` recomputes the payload's
-  SHA-256 and compares it (and the envelope's kind/fingerprint) before
-  trusting anything.  A corrupt or foreign file is deleted and reported
+* **Hash-on-read** — :meth:`DiskTier.read` checks the envelope's
+  fixed layout (schema, version, kind and fingerprint included) and
+  hashes the payload bytes exactly as stored before parsing them once.
+  A corrupt or foreign file — including any file whose layout differs
+  from what :meth:`DiskTier.write` produces — is deleted and reported
   as a miss, which makes the caller recompute instead of propagating
   garbage.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -38,6 +41,31 @@ STORE_SCHEMA = "megsim-store"
 #: Bumped on incompatible envelope/layout changes; older trees are
 #: simply never read (and ``gc`` removes them).
 STORE_VERSION = 1
+
+
+def _envelope_head(kind: str, fp: str) -> str:
+    """The envelope text before the payload body.
+
+    Keys are in sorted order, so head + body + :func:`_envelope_tail` is
+    exactly the sorted-key, space-free dump of the whole envelope.
+    """
+    return (
+        f'{{"fingerprint":{json.dumps(fp)},"kind":{json.dumps(kind)},'
+        f'"payload":'
+    )
+
+
+def _envelope_tail(digest: str) -> str:
+    """The envelope text after the payload body (fixed length)."""
+    return (
+        f',"payload_sha256":{json.dumps(digest)},'
+        f'"schema":{json.dumps(STORE_SCHEMA)},'
+        f'"version":{json.dumps(STORE_VERSION)}}}'
+    )
+
+
+#: Length of every envelope tail: the digest is 64 hex characters.
+_TAIL_LENGTH = len(_envelope_tail("0" * 64))
 
 
 class DiskTier:
@@ -70,11 +98,7 @@ class DiskTier:
         # into the envelope at the place ``sort_keys`` puts it, giving the
         # bytes a sorted-key dump of the whole envelope would.
         envelope = (
-            f'{{"fingerprint":{json.dumps(fp)},"kind":{json.dumps(kind)},'
-            f'"payload":{body},'
-            f'"payload_sha256":{json.dumps(payload_digest(body))},'
-            f'"schema":{json.dumps(STORE_SCHEMA)},'
-            f'"version":{json.dumps(STORE_VERSION)}}}'
+            _envelope_head(kind, fp) + body + _envelope_tail(payload_digest(body))
         )
         tmp = target.parent / f"{fp}.{os.getpid()}.tmp"
         tmp.write_text(envelope)
@@ -84,39 +108,39 @@ class DiskTier:
     def read(self, kind: str, fp: str) -> tuple[dict, int] | None:
         """Return ``(payload, bytes_read)``, or ``None`` on miss/corruption.
 
-        Any validation failure — unreadable JSON, wrong schema, a
-        kind/fingerprint mismatch, or a payload hash mismatch — deletes
-        the offending file and reports a miss.
+        Any validation failure — an envelope that is not byte for byte
+        the layout :meth:`write` produces for this kind and fingerprint
+        (wrong schema, version, kind or fingerprint included), a payload
+        hash mismatch, or a payload that is not a JSON object — deletes
+        the offending file and reports a miss.  The payload bytes are
+        hashed as stored and parsed once; nothing is re-serialized.
         """
         target = self.path(kind, fp)
         try:
-            text = target.read_text()
+            data = target.read_bytes()
         except FileNotFoundError:
             return None
         except OSError:
             self._drop(target)
             return None
-        try:
-            envelope = json.loads(text)
-        except json.JSONDecodeError:
-            self._drop(target)
-            return None
-        payload = envelope.get("payload") if isinstance(envelope, dict) else None
+        head = _envelope_head(kind, fp).encode("ascii")
+        body = data[len(head):len(data) - _TAIL_LENGTH]
+        payload = None
         if (
-            not isinstance(envelope, dict)
-            or envelope.get("schema") != STORE_SCHEMA
-            or envelope.get("version") != STORE_VERSION
-            or envelope.get("kind") != kind
-            or envelope.get("fingerprint") != fp
-            or not isinstance(payload, dict)
-            or envelope.get("payload_sha256")
-            != payload_digest(
-                json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            len(data) >= len(head) + _TAIL_LENGTH
+            and data.startswith(head)
+            and data.endswith(
+                _envelope_tail(hashlib.sha256(body).hexdigest()).encode("ascii")
             )
         ):
+            try:
+                payload = json.loads(body)
+            except ValueError:
+                pass
+        if not isinstance(payload, dict):
             self._drop(target)
             return None
-        return payload, len(text.encode("utf-8"))
+        return payload, len(data)
 
     def _drop(self, target: Path) -> None:
         """Delete a corrupt artifact file (best effort)."""

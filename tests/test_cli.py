@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import hashlib
+import json
+
 import pytest
 
 import repro.cli as cli
@@ -7,6 +10,8 @@ from repro.analysis.experiments import ExperimentResult
 from repro.analysis.metrics import failed_claims
 from repro.cli import build_parser, main
 from repro.errors import AnalysisError
+from repro.obs import collecting
+from repro.store import ArtifactStore, store_scope
 
 
 class TestParser:
@@ -58,6 +63,90 @@ class TestCommands:
         ]) == 0
         assert (tmp_path / "fig5_hcr.pgm").exists()
         assert (tmp_path / "fig6_hcr.ppm").exists()
+
+
+#: `megsim plan hcr --scale 0.02` stdout, as printed before the command
+#: was routed through the pipeline's `plan` stage.
+HCR_PLAN = """\
+hcr: 40 frames -> 6 representatives (reduction 7x)
+  cluster   0: frame    37 represents 9 frames
+  cluster   1: frame     4 represents 6 frames
+  cluster   2: frame     8 represents 11 frames
+  cluster   3: frame    26 represents 7 frames
+  cluster   4: frame    20 represents 4 frames
+  cluster   5: frame    34 represents 3 frames
+"""
+
+#: sha256 of the `megsim figures hcr --frames 40 --scale 0.02` images,
+#: as written before the command was routed through fig5/fig6.
+HCR_FIGURES = {
+    "fig5_hcr.pgm":
+        "116314231f14be1dcab90028ce9405bbdabddbf2098578fc4af54010fce8c63f",
+    "fig6_hcr.ppm":
+        "5ea7b6dfae5003dc47ec44742b5642a02f5a09a79e04997bddf98871ce456392",
+}
+
+
+class TestPipelineRouting:
+    """`plan`, `figures` and `run fig5/fig6` read the pipeline's stages."""
+
+    def test_plan_second_run_is_a_store_hit(self, capsys, tmp_path):
+        # Each run gets its own store object on one disk root, as two
+        # processes sharing MEGSIM_STORE would.
+        for run in range(2):
+            with store_scope(ArtifactStore(tmp_path)), \
+                    collecting() as collector:
+                assert main(["plan", "hcr", "--scale", "0.02"]) == 0
+            assert capsys.readouterr().out == HCR_PLAN
+        counters = collector.counters
+        assert counters["pipeline.hits.plan"] == 1
+        assert not [c for c in counters if c.startswith("pipeline.computed.")]
+
+    def test_plan_no_store_leaves_the_store_untouched(self, capsys, tmp_path):
+        with store_scope(ArtifactStore(tmp_path)):
+            assert main(["plan", "hcr", "--scale", "0.02", "--no-store"]) == 0
+        assert capsys.readouterr().out == HCR_PLAN
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+    @pytest.mark.parametrize("command", ["plan", "figures"])
+    def test_jobs_rejected(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "hcr", "--jobs", "2"])
+
+    def test_manifest_records_no_jobs_without_a_fan_out(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("MEGSIM_JOBS", "4")
+        manifest = tmp_path / "plan.manifest.json"
+        assert main([
+            "plan", "hcr", "--scale", "0.02", "--manifest", str(manifest),
+        ]) == 0
+        jobs = json.loads(manifest.read_text())["jobs"]
+        assert jobs == {"requested": None, "resolved": None}
+
+    def test_figures_bytes_are_pinned(self, capsys, tmp_path):
+        assert main([
+            "figures", "hcr", "--frames", "40", "--scale", "0.02",
+            "--outdir", str(tmp_path),
+        ]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in HCR_FIGURES
+        }
+        assert digests == HCR_FIGURES
+        out = capsys.readouterr().out
+        assert "(40x40, dark = similar)" in out
+        assert "(k=6 clusters along the diagonal)" in out
+
+    def test_fig6_simulates_nothing(self, capsys, tmp_path):
+        with store_scope(ArtifactStore(tmp_path)), collecting() as collector:
+            assert main(["run", "fig6", "--scale", "0.05"]) == 0
+        computed = {
+            c for c in collector.counters if c.startswith("pipeline.computed.")
+        }
+        assert computed == {"pipeline.computed.trace",
+                            "pipeline.computed.profile"}
+        assert "Figure 6" in capsys.readouterr().out
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Tests for jobs resolution, ParallelConfig validation and chunking."""
+"""Tests for jobs resolution and ParallelConfig validation."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.parallel import (
     JOBS_ENV_VAR,
     ParallelConfig,
     available_cpus,
-    chunk_indices,
     resolve_jobs,
 )
 
@@ -58,16 +57,11 @@ class TestParallelConfig:
     def test_defaults_are_serial(self):
         config = ParallelConfig()
         assert config.jobs == 1
-        assert config.chunk_size is None
 
     @pytest.mark.parametrize("jobs", [0, -1, "2", True])
     def test_bad_jobs_rejected(self, jobs):
         with pytest.raises(ConfigError):
             ParallelConfig(jobs=jobs)
-
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ConfigError):
-            ParallelConfig(jobs=2, chunk_size=0)
 
     def test_from_cli_resolves(self, monkeypatch):
         monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
@@ -75,25 +69,3 @@ class TestParallelConfig:
         assert ParallelConfig.from_cli("2").jobs == 2
         assert ParallelConfig.from_cli("auto").jobs == available_cpus()
 
-
-class TestChunkIndices:
-    def test_concatenation_covers_range(self):
-        for jobs in (1, 2, 3, 8):
-            for count in (1, 5, 17, 256):
-                chunks = chunk_indices(count, ParallelConfig(jobs=jobs))
-                indices = [
-                    i for start, stop in chunks for i in range(start, stop)
-                ]
-                assert indices == list(range(count))
-
-    def test_explicit_chunk_size(self):
-        chunks = chunk_indices(10, ParallelConfig(jobs=2, chunk_size=4))
-        assert chunks == [(0, 4), (4, 8), (8, 10)]
-
-    def test_empty_range(self):
-        assert chunk_indices(0, ParallelConfig(jobs=4)) == []
-
-    def test_default_size_scales_with_jobs(self):
-        # About four chunks per worker keeps the pool load-balanced.
-        chunks = chunk_indices(256, ParallelConfig(jobs=4))
-        assert len(chunks) == 16

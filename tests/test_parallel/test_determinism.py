@@ -1,95 +1,91 @@
-"""The determinism contract: parallel output == serial output, bytewise.
+"""The determinism contract: pooled output == serial output, bytewise.
 
 ``scripts/ci_check.sh`` runs this module twice — once with
 ``MEGSIM_JOBS=1`` and once with ``MEGSIM_JOBS=auto`` — so the
-environment-driven tests exercise a real pool whenever the host has the
-CPUs for one.
+``environment`` cases exercise a real pool whenever the host has the
+CPUs for one; the ``2`` cases force a two-worker pool on any host.
+Each fan-out that remains is checked against its own serial run:
+``megsim bench`` specs and ``megsim all`` steps.  (``megsim serve`` job
+waves have their own cross-path check in ``tests/test_service``.)
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.core.sampler import MEGsim
-from repro.gpu.functional_sim import FunctionalSimulator
-from repro.parallel import ParallelConfig, profile_parallel
+from repro.bench import run_suite
+from repro.cli import _campaign_step
+from repro.parallel import ParallelConfig, parallel_map
+
+#: Two smoke specs that share every benchmark's evaluation.
+SUITE_SPECS = ["table3", "fig7"]
+
+#: The model-output sections of a bench artifact (``counters`` measure
+#: work and ``timing`` wall time, so neither is compared).
+RESULT_SECTIONS = ("metrics", "accuracy", "info")
+
+#: Campaign steps cheap at scale 0.02; ``fig6`` fails claims there, so
+#: the claim failures are compared non-empty.
+CAMPAIGN_STEPS = ["table1", "fig5", "fig6"]
 
 
-def _assert_sequence_profiles_equal(left, right) -> None:
-    assert left.trace_name == right.trace_name
-    assert left.frame_count == right.frame_count
-    assert np.array_equal(
-        left.vertex_shader_weights, right.vertex_shader_weights
+def _parallel(jobs: str) -> ParallelConfig:
+    # ParallelConfig.from_cli(None) resolves MEGSIM_JOBS, so the
+    # "environment" case changes meaning across the CI variants.
+    if jobs == "environment":
+        return ParallelConfig.from_cli(None)
+    return ParallelConfig(jobs=int(jobs))
+
+
+def _suite_results(parallel: ParallelConfig) -> dict[str, str]:
+    artifact = run_suite(
+        "smoke", names=SUITE_SPECS, scale=0.02, parallel=parallel
     )
-    assert np.array_equal(
-        left.fragment_shader_weights, right.fragment_shader_weights
+    return {
+        name: json.dumps(
+            {key: section["results"][key] for key in RESULT_SECTIONS},
+            sort_keys=True,
+        )
+        for name, section in artifact["benchmarks"].items()
+    }
+
+
+def _campaign(parallel: ParallelConfig) -> list[tuple[str, list[str]]]:
+    total = len(CAMPAIGN_STEPS)
+    return parallel_map(
+        _campaign_step,
+        [(index, total, name, 0.02, None)
+         for index, name in enumerate(CAMPAIGN_STEPS, 1)],
+        parallel=parallel,
     )
-    for ours, theirs in zip(left.profiles, right.profiles):
-        assert ours.frame_id == theirs.frame_id
-        assert np.array_equal(ours.vs_executions, theirs.vs_executions)
-        assert np.array_equal(ours.fs_executions, theirs.fs_executions)
-        assert ours.primitives == theirs.primitives
-        assert ours.vertex_instructions == theirs.vertex_instructions
-        assert ours.fragment_instructions == theirs.fragment_instructions
 
 
 @pytest.fixture(scope="module")
-def serial_profile(phased_trace):
-    return FunctionalSimulator().profile(phased_trace)
+def serial_suite():
+    return _suite_results(ParallelConfig(jobs=1))
 
 
 @pytest.fixture(scope="module")
-def serial_plan(serial_profile):
-    return MEGsim().plan_from_profile(serial_profile)
+def serial_campaign():
+    return _campaign(ParallelConfig(jobs=1))
 
 
-class TestProfileDeterminism:
-    @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_profile_matches_serial(self, phased_trace, serial_profile, jobs):
-        pooled = profile_parallel(
-            phased_trace, parallel=ParallelConfig(jobs=jobs)
-        )
-        _assert_sequence_profiles_equal(pooled, serial_profile)
-
-    def test_profile_with_environment_jobs(self, phased_trace, serial_profile):
-        # ParallelConfig.from_cli(None) resolves MEGSIM_JOBS, so this
-        # test changes meaning (serial vs pooled) across the CI variants.
-        pooled = profile_parallel(
-            phased_trace, parallel=ParallelConfig.from_cli(None)
-        )
-        _assert_sequence_profiles_equal(pooled, serial_profile)
-
-    def test_chunk_size_does_not_change_results(
-        self, phased_trace, serial_profile
-    ):
-        pooled = profile_parallel(
-            phased_trace, parallel=ParallelConfig(jobs=2, chunk_size=7)
-        )
-        _assert_sequence_profiles_equal(pooled, serial_profile)
+class TestSuiteDeterminism:
+    @pytest.mark.parametrize("jobs", ["environment", "2"])
+    def test_suite_matches_serial(self, serial_suite, jobs):
+        pooled = _suite_results(_parallel(jobs))
+        assert list(pooled) == SUITE_SPECS
+        assert pooled == serial_suite
 
 
-class TestPlanDeterminism:
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_plan_json_is_byte_identical(
-        self, phased_trace, serial_plan, jobs
-    ):
-        profile = profile_parallel(
-            phased_trace, parallel=ParallelConfig(jobs=jobs)
-        )
-        plan = MEGsim().plan_from_profile(profile)
-        ours = json.dumps(plan.to_dict(), sort_keys=True).encode()
-        reference = json.dumps(serial_plan.to_dict(), sort_keys=True).encode()
-        assert ours == reference
+class TestCampaignDeterminism:
+    @pytest.mark.parametrize("jobs", ["environment", "2"])
+    def test_steps_match_serial(self, serial_campaign, jobs):
+        pooled = _campaign(_parallel(jobs))
+        assert pooled == serial_campaign
 
-    def test_plan_with_environment_jobs(self, phased_trace, serial_plan):
-        profile = profile_parallel(
-            phased_trace, parallel=ParallelConfig.from_cli(None)
-        )
-        plan = MEGsim().plan_from_profile(profile)
-        assert json.dumps(plan.to_dict(), sort_keys=True) == json.dumps(
-            serial_plan.to_dict(), sort_keys=True
-        )
-
+    def test_claim_failures_are_compared(self, serial_campaign):
+        failures = dict(zip(CAMPAIGN_STEPS, serial_campaign))["fig6"][1]
+        assert failures

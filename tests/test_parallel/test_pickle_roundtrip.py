@@ -1,9 +1,10 @@
-"""Pickle round-trips for every object that crosses a worker boundary.
+"""Pickle round-trips for the objects a pooled fan-out may move between
+processes.
 
-The pool ships traces and simulators to workers and gets frame profiles,
-frame statistics and observability buffers back; each of those must
-survive ``pickle`` unchanged or the parallel engine silently diverges
-from the serial run.
+Worker results and observability buffers come back pickled, and under
+the ``spawn`` start method the worker state is pickled too; each of
+these objects must survive ``pickle`` unchanged or a pooled run
+silently diverges from the serial one.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ class TestWorkerBoundaryPickling:
         assert restored.frame_count == tiny_trace.frame_count
 
     def test_frame_profile(self, tiny_trace):
-        profile = FunctionalSimulator().profile_frames(
-            tiny_trace.slice(0, 1)
-        )[0]
+        profile = FunctionalSimulator().profile(tiny_trace).profiles[0]
         restored = pickle.loads(pickle.dumps(profile))
         _assert_profiles_equal(restored, profile)
 
@@ -56,7 +55,7 @@ class TestWorkerBoundaryPickling:
         # process boundary under the spawn start method too.
         functional = pickle.loads(pickle.dumps(FunctionalSimulator()))
         cycle = pickle.loads(pickle.dumps(CycleAccurateSimulator()))
-        profile = functional.profile_frames(tiny_trace.slice(0, 1))[0]
+        profile = functional.profile(tiny_trace).profiles[0]
         assert profile.primitives > 0
         result = cycle.simulate(tiny_trace, frame_ids=[0])
         assert result.frame_stats[0].cycles > 0

@@ -78,6 +78,20 @@ class TestCorruption:
         assert tier.read("plan", FP) is None
         assert not target.exists()
 
+    def test_valid_json_edit_inside_payload_is_dropped(self, tmp_path):
+        # The edit keeps the envelope layout and the JSON valid; only the
+        # hash of the stored payload bytes can catch it.
+        tier = DiskTier(tmp_path)
+        tier.write("plan", FP, {"a": 1, "b": [2, 3]})
+        target = self._target(tier)
+        text = target.read_text()
+        assert '"payload":{"a":1,' in text
+        target.write_text(text.replace('"payload":{"a":1,', '"payload":{"a":7,'))
+        json.loads(target.read_text())
+        assert tier.read("plan", FP) is None
+        assert not target.exists()
+        assert tier.corrupt_dropped == 1
+
     def test_foreign_fingerprint_is_rejected(self, tmp_path):
         tier = DiskTier(tmp_path)
         other = "cd" + "0" * 62
