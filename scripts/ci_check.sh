@@ -36,6 +36,35 @@ trap 'rm -rf "$EXAMPLES_TMP"' EXIT
 MEGSIM_STORE="$EXAMPLES_TMP/store" python examples/accuracy_study.py pvz 0.05
 rm -rf "$EXAMPLES_TMP"
 
+# The vector backend's lowering is array code and must stay well under
+# the cost of the sequential replay it feeds (docs/simulation-backends.md).
+# Both spans come from one process, so machine speed largely cancels.
+# The array lowering measures about 0.1x here; the per-draw Python loop
+# it replaced measured 0.75-0.9x.
+echo "== vector lowering share =="
+python - <<'EOF'
+from repro.gpu.cycle_sim import CycleAccurateSimulator
+from repro.obs import collecting
+from repro.workloads import make_benchmark
+
+trace = make_benchmark("pvz", scale=0.05)
+totals = {"cycle.lower": 0.0, "cycle.replay": 0.0}
+with collecting() as collector:
+    CycleAccurateSimulator().simulate(trace)
+stack = list(collector.roots)
+while stack:
+    record = stack.pop()
+    if record.name in totals:
+        totals[record.name] += record.elapsed_seconds
+    stack.extend(record.children)
+ratio = totals["cycle.lower"] / totals["cycle.replay"]
+assert ratio <= 0.5, (
+    f"cycle.lower takes {ratio:.2f}x cycle.replay over {trace.frame_count} "
+    f"frames (at most 0.5x allowed): {totals}"
+)
+print(f"vector lowering share: OK (lower/replay {ratio:.2f})")
+EOF
+
 # The determinism contract (docs/parallelism.md) must hold whichever
 # worker count MEGSIM_JOBS selects, so the cross-check suite runs once
 # serially and once with every available CPU.

@@ -209,7 +209,6 @@ class CycleAccurateSimulator:
                 schedule.append((warm_id, False))
             schedule.append((fid, True))
             previous = fid
-        textures = {t.texture_id: t for t in trace.textures}
         warmed = len(schedule) - len(selected)
         with span(
             "cycle.simulate",
@@ -221,9 +220,10 @@ class CycleAccurateSimulator:
                 from repro.gpu.vector import simulate_schedule
 
                 stats = simulate_schedule(
-                    trace, schedule, self.config, self.power_model, textures
+                    trace, schedule, self.config, self.power_model
                 )
             else:
+                textures = {t.texture_id: t for t in trace.textures}
                 mem = MemorySystem(self.config)
                 stats = []
                 for fid, keep in schedule:

@@ -24,7 +24,7 @@ from repro.scene.mesh import Texture
 
 # Mip-mapping overhead of a trilinear footprint: two adjacent levels are
 # touched, the coarser one a quarter the size of the finer one.
-_TRILINEAR_FOOTPRINT_FACTOR = 1.25
+TRILINEAR_FOOTPRINT_FACTOR = 1.25
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,7 +49,7 @@ def texture_footprint_lines(
     """
     footprint_bytes = pixels_sampled * texture.texel_bytes
     if trilinear:
-        footprint_bytes = int(footprint_bytes * _TRILINEAR_FOOTPRINT_FACTOR)
+        footprint_bytes = int(footprint_bytes * TRILINEAR_FOOTPRINT_FACTOR)
     footprint_bytes = min(footprint_bytes, texture.size_bytes)
     return max(1, math.ceil(footprint_bytes / line_bytes))
 

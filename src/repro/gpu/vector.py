@@ -6,22 +6,26 @@ several Python calls and a result object per cache access — the profiled
 wall-time dominator of every evaluation.  This module executes the *same
 model* in three passes instead:
 
-1. **Lower** — one pass over the frame schedule turns the frames' rows
-   of the trace's draw table and their work (the columnar
+1. **Lower** — array code over the schedule's rows of the trace's draw
+   table and their work (the columnar
    :func:`~repro.gpu.workmodel.compute_work_columns`, bit-identical to
-   the per-draw model the scalar backend evaluates) into columnar
-   arrays of memory *ops*: interned region
-   keys, distinct-line counts, access totals, write flags, phase tags and
-   queue depths, in exactly the order the scalar stage models would issue
-   them.  Derived columns (effective access totals, over-capacity
-   classification) are computed vectorized with numpy.
+   the per-draw model the scalar backend evaluates) builds the memory
+   *op* stream as int64 numpy columns: op kind, region key and
+   write-back key, distinct lines, access total, effective access total,
+   write flag, phase and queue depth.  Each draw's op count per section
+   (geometry, tiling, raster) follows from its work counts, so cumulative
+   sums place every op in exactly the order the scalar stage models issue
+   them, and every field is scattered into its column for all draws at
+   once.  Region keys are integers, ``value * _NAMESPACES + namespace``,
+   so no key is interned.
 2. **Replay** — a single tight loop interprets the op stream against
-   inlined LRU region state (plain dicts keyed by interned ints), the one
-   part of the model that is inherently sequential.  The four per-fragment-
-   processor texture caches receive identical streams by construction, so
-   one replayed cache stands in for all of them (stats are scaled back at
-   accounting time; their L2/DRAM side effects are replayed per processor,
-   preserving order).  Stall cycles are accumulated per frame in issue
+   inlined LRU region state (plain dicts keyed by the integer region
+   keys), the one part of the model that is inherently sequential.  It
+   converts each column to a list once and walks them together.  The
+   four per-fragment-processor texture caches receive identical streams
+   by construction, so one replayed cache stands in for all of them
+   (stats are scaled back at accounting time; their L2/DRAM side effects
+   are replayed per processor, preserving order).  Stall cycles are accumulated per frame in issue
    order, so floating-point addition order matches the scalar backend
    exactly.
 3. **Accumulate** — per-frame statistics fall out of cumulative counter
@@ -44,6 +48,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -52,11 +57,9 @@ from repro.obs import span
 from repro.gpu.config import FRAME_OVERHEAD_CYCLES, GPUConfig
 from repro.gpu.dram import DRAMStats
 from repro.gpu.power import PowerModel
-from repro.gpu.raster import texture_footprint_lines
+from repro.gpu.raster import TRILINEAR_FOOTPRINT_FACTOR
 from repro.gpu.stats import CacheStats, FrameStats
-from repro.gpu.tiling import polygon_list_lines, varyings_lines
 from repro.gpu.workmodel import compute_work_columns
-from repro.scene.mesh import Texture
 from repro.scene.trace import WorkloadTrace
 
 # Op kinds of the lowered access stream.
@@ -68,6 +71,18 @@ _OP_WRITE_THROUGH = 4  # framebuffer write-through (no-fetch allocate)
 
 # Phase indices (order matches repro.gpu.hierarchy.PHASES).
 _GEOMETRY, _TILING, _RASTER = 0, 1, 2
+
+# Region-key namespaces.  A region key is ``value * _NAMESPACES +
+# namespace``, where the value is a mesh id (vb), an in-frame draw index
+# (varyings, plist and their write-back twins) or a texture id (tex), and
+# 0 for the single depth, color and framebuffer regions.  Values
+# are non-negative, so the encoding is injective across namespaces.
+# Vertex ops never write, so vb regions have no write-back twin.
+(
+    _NS_VB, _NS_VARYINGS, _NS_PLIST, _NS_WB_VARYINGS, _NS_WB_PLIST, _NS_TEX,
+    _NS_DEPTH_FB, _NS_COLOR_FB, _NS_FRAMEBUFFER,
+) = range(9)
+_NAMESPACES = 9
 
 
 class _CacheState:
@@ -178,269 +193,236 @@ def _transfer(dram: _DramState, lines: int, write: bool, lpr: int, ltc: int,
     dram.busy += lines * ltc + rows_opened * activation
 
 
+def _lines(size: np.ndarray, line_bytes: int) -> np.ndarray:
+    """``max(1, math.ceil(size / line_bytes))`` element-wise over int64 sizes."""
+    return np.maximum(1, np.ceil(size / line_bytes).astype(np.int64))
+
+
+def _section_starts(
+    counts: np.ndarray, offsets: np.ndarray, frame_of: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each draw's first op within its frame's section, and the frame totals.
+
+    ``counts`` is every draw's op count in one section; draws of frame
+    ``i`` are rows ``offsets[i]:offsets[i + 1]``.
+    """
+    running = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=running[1:])
+    firsts = running[offsets[:-1]]
+    return running[:-1] - firsts[frame_of], running[offsets[1:]] - firsts
+
+
 def _lower(
     trace: WorkloadTrace,
     schedule: list[tuple[int, bool]],
     config: GPUConfig,
-    textures: dict[int, Texture],
 ):
-    """Lower the schedule into the columnar op stream + per-frame records."""
+    """Lower the schedule into the columnar op stream + per-frame records.
+
+    A frame's ops are its draws' geometry ops, then their tiling ops,
+    then their raster ops, then the framebuffer op: the order in which
+    the scalar stage models issue them.  The work columns give every
+    draw's op count per section, so cumulative sums place every op, and
+    each op field is scattered into its column for all draws at once.
+    """
     imr = config.rendering_mode == "imr"
-    vline = config.vertex_cache.line_bytes
-    tex_line = config.texture_cache.line_bytes
+    tile_line = config.tile_cache.line_bytes
     l2_line = config.l2_cache.line_bytes
-    fragment_processors = config.fragment_processors
-    q_vertex = config.vertex_input_queue.entries
-    q_tile = config.tile_queue.entries
     q_fragment = config.fragment_queue.entries
-
-    intern: dict[object, int] = {}
-    # Columns of the op stream.
-    kinds: list[int] = []
-    keys: list[int] = []
-    wbkeys: list[int] = []
-    linecol: list[int] = []
-    totals: list[int] = []
-    writes: list[bool] = []
-    phases: list[int] = []
-    queues: list[int] = []
-
-    op_counts: list[int] = []
-    records: list[_FrameRecord] = []
-
-    def key_id(key: object) -> int:
-        ident = intern.get(key)
-        if ident is None:
-            ident = len(intern)
-            intern[key] = ident
-        return ident
-
-    emit = kinds.append
-
-    def push(kind, key, wbkey, lines, total, write, phase, queue):
-        emit(kind)
-        keys.append(key)
-        wbkeys.append(wbkey)
-        linecol.append(lines)
-        totals.append(total)
-        writes.append(write)
-        phases.append(phase)
-        queues.append(queue)
 
     draws = trace.draws.take([fid for fid, _keep in schedule])
     resources = trace.resources
     work = compute_work_columns(draws, resources, config)
-    # Per-mesh and per-shader constants, and the draw columns the loops
-    # read, as Python lists indexed by table row.
-    mesh_ids = resources.mesh_id.tolist()
-    mesh_lines = [
-        max(1, math.ceil(size / vline))
-        for size in resources.vertex_buffer_bytes.tolist()
-    ]
-    vs_instructions = resources.vs_instructions.tolist()
-    fs_instructions = resources.fs_instructions.tolist()
-    fragment_shaders = trace.fragment_shaders
-    mesh_of = draws.mesh.tolist()
-    vs_of = draws.vertex_shader.tolist()
-    fs_of = draws.fragment_shader.tolist()
-    opaque_of = draws.opaque.tolist()
-    binding_starts = draws.texture_offsets.tolist()
-    bindings = draws.texture_ids.tolist()
-    starts = work.offsets.tolist()
-    vertices_of = work.vertices_shaded.tolist()
-    binned_of = work.primitives_binned.tolist()
-    pairs_of = work.prim_tile_pairs.tolist()
-    footprint_of = work.footprint_pixels.tolist()
-    generated_of = work.fragments_generated.tolist()
-    shaded_of = work.fragments_shaded.tolist()
-    frame_totals = {
-        name: work.frame_sums(getattr(work, name)).tolist()
-        for name in (
-            "vertices_shaded", "primitives_submitted", "primitives_binned",
-            "prim_tile_pairs", "fragments_generated", "fragments_shaded",
-        )
-    }
-    active_tiles = work.active_tiles.tolist()
+    offsets = work.offsets
+    per_frame = np.diff(offsets)
+    frame_of = np.repeat(np.arange(draws.frame_count), per_frame)
+    # A draw's index within its frame names its varyings and polygon list.
+    index = np.arange(draws.draw_count, dtype=np.int64) - offsets[frame_of]
 
-    for slot in range(draws.frame_count):
-        base = len(kinds)
-        first = starts[slot]
-        draw_count = starts[slot + 1] - first
+    vertices = work.vertices_shaded
+    pairs = work.prim_tile_pairs
+    generated = work.fragments_generated
+    shaded = work.fragments_shaded
+    footprint = work.footprint_pixels
+    mesh = draws.mesh
+    fs = draws.fragment_shader
+    opaque = draws.opaque
+    paired = pairs > 0
+    drawn = generated > 0
+    samples = np.where(drawn, np.diff(resources.fs_sample_offsets)[fs], 0)
+    blended = drawn & ~opaque & (shaded > 0)
 
-        # Geometry: the Vertex Fetcher streams each instance's records
-        # through the vertex cache.
-        vertex_instructions = 0
-        fetch_accesses = 0
-        for row in range(first, first + draw_count):
-            vertices = vertices_of[row]
-            vertex_instructions += vertices * vs_instructions[vs_of[row]]
-            mesh = mesh_of[row]
-            fetch_accesses += vertices
-            push(
-                _OP_VERTEX, key_id(("vb", mesh_ids[mesh])), -1,
-                mesh_lines[mesh], vertices, False, _GEOMETRY, q_vertex,
-            )
-
-        # Tiling: varyings + polygon-list writes through the tile cache.
-        list_entries = 0
-        if not imr:
-            for index in range(draw_count):
-                vertices = vertices_of[first + index]
-                pairs = pairs_of[first + index]
-                varyings = varyings_lines(vertices, config)
-                vkey = ("varyings", index)
-                push(
-                    _OP_TILE, key_id(vkey), key_id(("wb", vkey)), varyings,
-                    vertices, True, _TILING, q_tile,
-                )
-                if pairs == 0:
-                    continue
-                list_entries += pairs
-                lines = polygon_list_lines(pairs, config)
-                pkey = ("plist", index)
-                push(
-                    _OP_TILE, key_id(pkey), key_id(("wb", pkey)), lines,
-                    pairs, True, _TILING, q_tile,
-                )
-
-        # Raster: polygon-list/varyings read-back, depth/color traffic,
-        # texture sampling and the framebuffer resolve.
-        fragment_instructions = 0
-        color_tally = 0
-        depth_tally = 0
-        for index in range(draw_count):
-            row = first + index
-            generated = generated_of[row]
-            if generated == 0:
-                continue
-            shaded = shaded_of[row]
-            pairs = pairs_of[row]
-            if pairs:
-                lines = polygon_list_lines(pairs, config)
-                pkey = ("plist", index)
-                push(
-                    _OP_TILE, key_id(pkey), key_id(("wb", pkey)), lines,
-                    pairs, False, _RASTER, q_fragment,
-                )
-                varyings = varyings_lines(vertices_of[row], config)
-                vkey = ("varyings", index)
-                push(
-                    _OP_TILE, key_id(vkey), key_id(("wb", vkey)), varyings,
-                    max(3 * binned_of[row], 1), False, _RASTER,
-                    q_fragment,
-                )
-
-            opaque = opaque_of[row]
-            depth_accesses = generated + shaded
-            color_accesses = shaded
-            if not opaque:
-                color_accesses += shaded
-            if imr:
-                buffer_lines = max(
-                    1,
-                    math.ceil(
-                        footprint_of[row]
-                        * config.depth_bytes_per_pixel
-                        / l2_line
-                    ),
-                )
-                push(
-                    _OP_L2_DIRECT, key_id(("depth_fb",)), -1, buffer_lines,
-                    depth_accesses, True, _RASTER, q_fragment,
-                )
-                if not opaque and shaded:
-                    push(
-                        _OP_L2_DIRECT, key_id(("color_fb",)), -1,
-                        buffer_lines, shaded, False, _RASTER,
-                        q_fragment,
-                    )
-            else:
-                depth_tally += depth_accesses
-                color_tally += color_accesses
-
-            fragment_instructions += shaded * fs_instructions[fs_of[row]]
-
-            visible_fraction = shaded / generated
-            visible_pixels = max(
-                1, int(round(footprint_of[row] * visible_fraction))
-            )
-            for sample in fragment_shaders[fs_of[row]].texture_samples:
-                texture = textures[
-                    bindings[binding_starts[row] + sample.texture_slot]
-                ]
-                accesses = shaded * sample.filter_mode.memory_accesses
-                footprint = texture_footprint_lines(
-                    texture,
-                    visible_pixels,
-                    trilinear=sample.filter_mode.name == "TRILINEAR",
-                    line_bytes=tex_line,
-                )
-                per_cache = max(1, accesses // fragment_processors)
-                push(
-                    _OP_TEXTURE, key_id(("tex", texture.texture_id)), -1,
-                    footprint, per_cache, False, _RASTER, q_fragment,
-                )
-
-        framebuffer_lines = 0
-        frame_shaded = frame_totals["fragments_shaded"][slot]
-        if imr:
-            if frame_shaded:
-                framebuffer_lines = math.ceil(
-                    frame_shaded
-                    * config.color_bytes_per_pixel
-                    / l2_line
-                )
-                push(
-                    _OP_WRITE_THROUGH, key_id(("framebuffer",)), -1,
-                    framebuffer_lines, framebuffer_lines, True, _RASTER, 0,
-                )
-        elif active_tiles[slot]:
-            framebuffer_lines = math.ceil(
-                active_tiles[slot]
-                * config.tile_pixels
-                * config.color_bytes_per_pixel
-                / l2_line
-            )
-            push(
-                _OP_WRITE_THROUGH, key_id(("framebuffer",)), -1,
-                framebuffer_lines, framebuffer_lines, True, _RASTER, 0,
-            )
-
-        op_counts.append(len(kinds) - base)
-        records.append(
-            _FrameRecord(
-                vertices_shaded=frame_totals["vertices_shaded"][slot],
-                primitives_submitted=frame_totals["primitives_submitted"][slot],
-                primitives_binned=frame_totals["primitives_binned"][slot],
-                prim_tile_pairs=frame_totals["prim_tile_pairs"][slot],
-                fragments_generated=frame_totals["fragments_generated"][slot],
-                fragments_shaded=frame_shaded,
-                vertex_instructions=vertex_instructions,
-                fetch_accesses=fetch_accesses,
-                list_entries=list_entries,
-                fragment_instructions=fragment_instructions,
-                framebuffer_lines=framebuffer_lines,
-                color_tally=color_tally,
-                depth_tally=depth_tally,
-            )
-        )
-
-    if kinds:
-        lines_arr = np.asarray(linecol, dtype=np.int64)
-        totals_arr = np.asarray(totals, dtype=np.int64)
-        if int(lines_arr.min()) < 1 or int(totals_arr.min()) < 1:
-            raise SimulationError(
-                "lowered access stream contains a batch with zero lines or "
-                "zero accesses"
-            )
-        # Effective access totals (RegionCache clamps total_accesses up to
-        # distinct_lines), computed vectorized over the whole stream.
-        eff = np.maximum(totals_arr, lines_arr).tolist()
+    # Op counts: per draw in the tiling and raster sections, and the
+    # frames' framebuffer resolves (only those with lines).
+    tile_counts = np.zeros_like(pairs) if imr else 1 + paired
+    raster_counts = 2 * (drawn & paired) + samples
+    frame_shaded = work.frame_sums(shaded)
+    if imr:
+        raster_counts += drawn.astype(np.int64) + blended
+        framebuffer_lines = np.ceil(
+            frame_shaded * config.color_bytes_per_pixel / l2_line
+        ).astype(np.int64)
     else:
-        eff = []
-    rows = list(zip(kinds, keys, wbkeys, linecol, totals, eff, writes,
-                    phases, queues))
-    return rows, op_counts, records
+        framebuffer_lines = np.ceil(
+            work.active_tiles * config.tile_pixels
+            * config.color_bytes_per_pixel / l2_line
+        ).astype(np.int64)
+    resolved = framebuffer_lines > 0
+    tile_starts, frame_tiles = _section_starts(tile_counts, offsets, frame_of)
+    raster_starts, frame_rasters = _section_starts(
+        raster_counts, offsets, frame_of
+    )
+    op_counts = per_frame + frame_tiles + frame_rasters + resolved
+    frame_ends = np.cumsum(op_counts)
+    geometry_base = frame_ends - op_counts
+    tile_base = geometry_base + per_frame
+    raster_base = tile_base + frame_tiles
+    tile_at = tile_base[frame_of] + tile_starts
+    raster_at = raster_base[frame_of] + raster_starts
+
+    size = int(frame_ends[-1])
+    kind, key, wbkey, lines, total, write, phase, queue = (
+        np.empty(size, dtype=np.int64) for _ in range(8)
+    )
+
+    def put(at, op_kind, op_key, op_wbkey, op_lines, op_total, op_write,
+            op_phase, op_queue) -> None:
+        kind[at] = op_kind
+        key[at] = op_key
+        wbkey[at] = op_wbkey
+        lines[at] = op_lines
+        total[at] = op_total
+        write[at] = op_write
+        phase[at] = op_phase
+        queue[at] = op_queue
+
+    # Geometry: the Vertex Fetcher streams each instance's records
+    # through the vertex cache.
+    put(
+        geometry_base[frame_of] + index, _OP_VERTEX,
+        resources.mesh_id[mesh] * _NAMESPACES + _NS_VB, -1,
+        _lines(resources.vertex_buffer_bytes, config.vertex_cache.line_bytes)[mesh],
+        vertices, False, _GEOMETRY, config.vertex_input_queue.entries,
+    )
+
+    # Tiling: varyings + polygon-list writes through the tile cache
+    # (tiling.varyings_lines and tiling.polygon_list_lines).
+    varyings_lines = _lines(vertices * config.varyings_bytes_per_vertex, tile_line)
+    plist_lines = _lines(pairs * config.polygon_list_entry_bytes, tile_line)
+    varyings_key = index * _NAMESPACES + _NS_VARYINGS
+    varyings_wb = index * _NAMESPACES + _NS_WB_VARYINGS
+    plist_key = index * _NAMESPACES + _NS_PLIST
+    plist_wb = index * _NAMESPACES + _NS_WB_PLIST
+    if not imr:
+        q_tile = config.tile_queue.entries
+        put(
+            tile_at, _OP_TILE, varyings_key, varyings_wb, varyings_lines,
+            vertices, True, _TILING, q_tile,
+        )
+        on = np.flatnonzero(paired)
+        put(
+            tile_at[on] + 1, _OP_TILE, plist_key[on], plist_wb[on],
+            plist_lines[on], pairs[on], True, _TILING, q_tile,
+        )
+
+    # Raster, per drawn draw: polygon-list/varyings read-back, the IMR
+    # depth/color traffic, then texture sampling.
+    on = np.flatnonzero(drawn & paired)
+    put(
+        raster_at[on], _OP_TILE, plist_key[on], plist_wb[on],
+        plist_lines[on], pairs[on], False, _RASTER, q_fragment,
+    )
+    put(
+        raster_at[on] + 1, _OP_TILE, varyings_key[on], varyings_wb[on],
+        varyings_lines[on], np.maximum(3 * work.primitives_binned[on], 1),
+        False, _RASTER, q_fragment,
+    )
+    sample_at = raster_at + 2 * paired
+    if imr:
+        buffer_lines = _lines(footprint * config.depth_bytes_per_pixel, l2_line)
+        on = np.flatnonzero(drawn)
+        put(
+            sample_at[on], _OP_L2_DIRECT, _NS_DEPTH_FB, -1, buffer_lines[on],
+            generated[on] + shaded[on], True, _RASTER, q_fragment,
+        )
+        on = np.flatnonzero(blended)
+        put(
+            sample_at[on] + 1, _OP_L2_DIRECT, _NS_COLOR_FB, -1,
+            buffer_lines[on], shaded[on], False, _RASTER, q_fragment,
+        )
+        sample_at = sample_at + drawn + blended
+
+    # Texture sampling, one op per sample of the draw's fragment shader
+    # in program order (raster.texture_footprint_lines).  Texels are
+    # only fetched for fragments that survive early-Z, so the footprint
+    # shrinks with the draw's occluded fraction.
+    row = np.repeat(np.arange(draws.draw_count), samples)
+    nth = np.arange(len(row), dtype=np.int64) - (np.cumsum(samples) - samples)[row]
+    sample = resources.fs_sample_offsets[fs[row]] + nth
+    texture_id = draws.texture_ids[
+        draws.texture_offsets[row] + resources.sample_slot[sample]
+    ]
+    texture = resources.texture_rows(texture_id)
+    visible_pixels = np.maximum(
+        1, np.rint(footprint[row] * (shaded[row] / generated[row])).astype(np.int64)
+    )
+    footprint_bytes = visible_pixels * resources.texel_bytes[texture]
+    trilinear = resources.sample_trilinear[sample]
+    footprint_bytes[trilinear] = (
+        footprint_bytes[trilinear] * TRILINEAR_FOOTPRINT_FACTOR
+    ).astype(np.int64)
+    footprint_bytes = np.minimum(footprint_bytes, resources.size_bytes[texture])
+    accesses = shaded[row] * resources.sample_accesses[sample]
+    put(
+        sample_at[row] + nth, _OP_TEXTURE, texture_id * _NAMESPACES + _NS_TEX,
+        -1, _lines(footprint_bytes, config.texture_cache.line_bytes),
+        np.maximum(1, accesses // config.fragment_processors), False,
+        _RASTER, q_fragment,
+    )
+
+    # Framebuffer resolve: full-line writes through the L2, last in the
+    # frame.
+    on = np.flatnonzero(resolved)
+    put(
+        frame_ends[on] - 1, _OP_WRITE_THROUGH, _NS_FRAMEBUFFER, -1,
+        framebuffer_lines[on], framebuffer_lines[on], True, _RASTER, 0,
+    )
+
+    if size and (int(lines.min()) < 1 or int(total.min()) < 1):
+        raise SimulationError(
+            "lowered access stream contains a batch with zero lines or "
+            "zero accesses"
+        )
+
+    def frame_sums(column: np.ndarray) -> list[int]:
+        return work.frame_sums(column).tolist()
+
+    # TBR/TBDR tally each drawn draw's depth and color traffic on chip; a
+    # transparent draw also reads its destination color.
+    on_chip = np.zeros_like(drawn) if imr else drawn
+    records = [
+        _FrameRecord(*fields)
+        for fields in zip(
+            frame_sums(vertices),
+            frame_sums(work.primitives_submitted),
+            frame_sums(work.primitives_binned),
+            frame_sums(pairs),
+            frame_sums(generated),
+            frame_shaded.tolist(),
+            frame_sums(vertices * resources.vs_instructions[draws.vertex_shader]),
+            frame_sums(vertices),
+            frame_sums(pairs),  # list entries (IMR draws have no pairs)
+            frame_sums(drawn * shaded * resources.fs_instructions[fs]),
+            framebuffer_lines.tolist(),
+            frame_sums(on_chip * shaded * (2 - opaque)),
+            frame_sums(on_chip * (generated + shaded)),
+        )
+    ]
+    # Effective access totals: RegionCache clamps total_accesses up to
+    # distinct_lines.
+    eff = np.maximum(total, lines)
+    stream = (kind, key, wbkey, lines, total, eff, write, phase, queue)
+    return stream, op_counts.tolist(), records
 
 
 def simulate_schedule(
@@ -448,7 +430,6 @@ def simulate_schedule(
     schedule: list[tuple[int, bool]],
     config: GPUConfig,
     power_model: PowerModel,
-    textures: dict[int, Texture],
 ) -> list[FrameStats]:
     """Simulate ``schedule`` with the vector backend.
 
@@ -458,17 +439,20 @@ def simulate_schedule(
     are discarded), in schedule order.
     """
     with span("cycle.lower", frames=len(schedule)):
-        rows, op_counts, records = _lower(trace, schedule, config, textures)
-    with span("cycle.replay", ops=len(rows)):
-        marks, stalls = _replay(rows, op_counts, config)
+        stream, op_counts, records = _lower(trace, schedule, config)
+    with span("cycle.replay", ops=len(stream[0])):
+        marks, stalls = _replay(stream, op_counts, config)
     with span("cycle.accumulate", frames=len(schedule)):
         return _accumulate(
             schedule, records, marks, stalls, config, power_model
         )
 
 
-def _replay(rows: list, op_counts: list[int], config: GPUConfig):
+def _replay(stream: tuple, op_counts: list[int], config: GPUConfig):
     """Interpret the op stream against the inlined cache/DRAM state.
+
+    ``stream`` holds the op columns ``kind, key, wbkey, lines, total,
+    eff, write, phase, queue``; ``op_counts`` each frame's op count.
 
     Returns the cumulative counter snapshot at every frame boundary
     (first row all zeros) and each frame's per-phase stall cycles.
@@ -497,11 +481,12 @@ def _replay(rows: list, op_counts: list[int], config: GPUConfig):
     marks = [(0,) * 27]
     stalls: list[tuple[float, float, float]] = []
 
-    pos = 0
+    ops = zip(*(column.tolist() for column in stream))
     for count in op_counts:
         frame_stall = [0.0, 0.0, 0.0]
-        for row in rows[pos:pos + count]:
-            kind, key, wbkey, lines, total, eff_total, write, phase, queue = row
+        for (
+            kind, key, wbkey, lines, total, eff_total, write, phase, queue
+        ) in islice(ops, count):
             if kind == _OP_TEXTURE:
                 m1, _ = _access(texture, key, lines, eff_total, False)
                 if m1 == 0:
@@ -605,7 +590,6 @@ def _replay(rows: list, op_counts: list[int], config: GPUConfig):
             if w2:
                 _transfer(dram, w2, True, lpr, ltc, activation)
                 dram_phase[_RASTER] += w2
-        pos += count
         stalls.append(tuple(frame_stall))
         marks.append((
             vertex.acc, vertex.hit, vertex.miss, vertex.wb,

@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import TraceError
-from repro.scene.mesh import Mesh
-from repro.scene.shader import ShaderProgram
+from repro.scene.mesh import Mesh, Texture
+from repro.scene.shader import FilterMode, ShaderProgram
 
 #: Accepted numpy dtype kinds of an integer column's values and of any
 #: other column's (b: bool, i/u: int, f: float).
@@ -134,11 +134,14 @@ class DrawTable:
 
 @dataclass(frozen=True, eq=False)
 class ResourceColumns:
-    """Per-row constants of a trace's mesh and shader tables.
+    """Per-row constants of a trace's mesh, shader and texture tables.
 
     A draw table's ``mesh`` column indexes the mesh columns, and its
     ``vertex_shader`` and ``fragment_shader`` columns index the matching
-    shader columns (shader tables are densely indexed by id).
+    shader columns (shader tables are densely indexed by id).  Fragment
+    shader ``s`` samples the sample rows
+    ``fs_sample_offsets[s]:fs_sample_offsets[s + 1]``, in program order;
+    :meth:`texture_rows` maps a draw's bound texture ids to texture rows.
 
     Attributes:
         mesh_id: int64 id of each mesh.
@@ -150,6 +153,14 @@ class ResourceColumns:
             per vertex and fragment shader.
         fs_max_slot: int64 highest texture slot each fragment shader
             samples, -1 when it samples none.
+        fs_sample_offsets: int64, one more entry than there are fragment
+            shaders.
+        sample_slot: int64 texture slot of each texture sample.
+        sample_accesses: int64 ``filter_mode.memory_accesses`` of each
+            texture sample.
+        sample_trilinear: bool per texture sample, its filter mode is
+            trilinear.
+        texture_id, texel_bytes, size_bytes: int64 per texture.
     """
 
     mesh_id: np.ndarray
@@ -161,6 +172,13 @@ class ResourceColumns:
     vs_instructions: np.ndarray
     fs_instructions: np.ndarray
     fs_max_slot: np.ndarray
+    fs_sample_offsets: np.ndarray
+    sample_slot: np.ndarray
+    sample_accesses: np.ndarray
+    sample_trilinear: np.ndarray
+    texture_id: np.ndarray
+    texel_bytes: np.ndarray
+    size_bytes: np.ndarray
 
     @classmethod
     def of(
@@ -168,6 +186,7 @@ class ResourceColumns:
         meshes: Sequence[Mesh],
         vertex_shaders: Sequence[ShaderProgram],
         fragment_shaders: Sequence[ShaderProgram],
+        textures: Sequence[Texture],
     ) -> "ResourceColumns":
         """The columns of the given resource tables."""
 
@@ -175,6 +194,22 @@ class ResourceColumns:
             return np.array(
                 [getattr(mesh, attribute) for mesh in meshes], dtype=dtype
             )
+
+        def texture_column(attribute: str) -> np.ndarray:
+            return np.array(
+                [getattr(texture, attribute) for texture in textures],
+                dtype=np.int64,
+            )
+
+        samples = [
+            sample for shader in fragment_shaders
+            for sample in shader.texture_samples
+        ]
+        fs_sample_offsets = np.zeros(len(fragment_shaders) + 1, dtype=np.int64)
+        np.cumsum(
+            [len(shader.texture_samples) for shader in fragment_shaders],
+            out=fs_sample_offsets[1:],
+        )
 
         def instructions(shaders: Sequence[ShaderProgram]) -> np.ndarray:
             return np.array(
@@ -197,7 +232,32 @@ class ResourceColumns:
                 ],
                 dtype=np.int64,
             ),
+            fs_sample_offsets=fs_sample_offsets,
+            sample_slot=np.array(
+                [sample.texture_slot for sample in samples], dtype=np.int64
+            ),
+            sample_accesses=np.array(
+                [sample.filter_mode.memory_accesses for sample in samples],
+                dtype=np.int64,
+            ),
+            sample_trilinear=np.array(
+                [sample.filter_mode is FilterMode.TRILINEAR for sample in samples],
+                dtype=bool,
+            ),
+            texture_id=texture_column("texture_id"),
+            texel_bytes=texture_column("texel_bytes"),
+            size_bytes=texture_column("size_bytes"),
         )
+
+    def texture_rows(self, texture_ids: np.ndarray) -> np.ndarray:
+        """The texture-table row of each of ``texture_ids``.
+
+        Every id must be in the table.  When two textures share an id the
+        later one wins, as in a dict built from the table.
+        """
+        order = np.argsort(self.texture_id, kind="stable")
+        found = np.searchsorted(self.texture_id[order], texture_ids, "right")
+        return order[found - 1]
 
 
 def _gather(offsets: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

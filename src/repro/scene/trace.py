@@ -140,9 +140,10 @@ class WorkloadTrace:
 
     @cached_property
     def resources(self) -> ResourceColumns:
-        """The mesh and shader tables' per-row constants, built once."""
+        """The resource tables' per-row constants, built once."""
         return ResourceColumns.of(
-            self.meshes, self.vertex_shaders, self.fragment_shaders
+            self.meshes, self.vertex_shaders, self.fragment_shaders,
+            self.textures,
         )
 
     @cached_property

@@ -11,11 +11,13 @@ error).
 import dataclasses
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, SimulationError
+from repro.gpu import vector
 from repro.gpu.config import CacheConfig, CycleConfig, DRAMConfig, GPUConfig
 from repro.gpu.cycle_sim import CycleAccurateSimulator
 from repro.gpu.parity import (
@@ -23,7 +25,18 @@ from repro.gpu.parity import (
     compare_results,
     sample_frame_ids,
 )
+from repro.gpu.workmodel import compute_work_columns
+from repro.scene.draw import DrawCall
+from repro.scene.frame import Camera, Frame
+from repro.scene.mesh import Mesh, Texture
+from repro.scene.shader import (
+    FilterMode,
+    ShaderKind,
+    ShaderProgram,
+    TextureSample,
+)
 from repro.scene.trace import WorkloadTrace
+from repro.scene.vectors import Vec3
 from repro.workloads import make_benchmark
 
 
@@ -144,6 +157,121 @@ def test_parity_over_drawn_configs(config, frame_ids, warmup):
     assert vector.frame_ids == scalar.frame_ids
     assert vector.frame_stats == scalar.frame_stats
     assert not compare_results(scalar, vector)
+
+
+@functools.cache
+def edge_trace() -> WorkloadTrace:
+    """Frames that reach the lowering's corner cases.
+
+    Frames 0 and 3 have no draws.  In the others, draw 0 fills the screen
+    opaquely and samples a texture twice, once trilinear (a footprint
+    larger than the L2) and once bilinear (larger than a texture cache
+    and smaller than the L2); draw 1 sits fully occluded behind it, draw
+    2 is behind the camera (no fragments), and draw 3 is a transparent
+    draw in front whose shader samples nothing.  Mesh and texture ids
+    equal the in-frame indices of the draws that use them, so a region
+    key that ignored its namespace would collide.
+    """
+    vs = ShaderProgram(shader_id=0, kind=ShaderKind.VERTEX, alu_instructions=9)
+    plain = ShaderProgram(shader_id=0, kind=ShaderKind.FRAGMENT, alu_instructions=5)
+    sampled = ShaderProgram(
+        shader_id=1, kind=ShaderKind.FRAGMENT, alu_instructions=7,
+        texture_samples=(
+            TextureSample(texture_slot=0, filter_mode=FilterMode.TRILINEAR),
+            TextureSample(texture_slot=1, filter_mode=FilterMode.BILINEAR),
+        ),
+    )
+    meshes = tuple(
+        Mesh(mesh_id=index, vertex_count=60 * (index + 1),
+             primitive_count=90 * (index + 1), vertex_stride_bytes=32,
+             bounding_radius=1.0, base_address=index << 20)
+        for index in range(4)
+    )
+    textures = (
+        Texture(texture_id=0, width=1024, height=1024, texel_bytes=4,
+                base_address=1 << 30),
+        Texture(texture_id=1, width=64, height=64, texel_bytes=4,
+                base_address=1 << 31),
+    )
+    full_screen = DrawCall(
+        mesh=meshes[0], vertex_shader=vs, fragment_shader=sampled,
+        texture_ids=(0, 1), position=Vec3(0.0, 0.0, -2.0), scale=4.0,
+        instance_count=4, depth_layer=1,
+    )
+    occluded = DrawCall(
+        mesh=meshes[1], vertex_shader=vs, fragment_shader=sampled,
+        texture_ids=(1, 0), position=Vec3(0.5, 0.0, -20.0), scale=2.0,
+        overdraw=1.5, depth_layer=2,
+    )
+    behind = DrawCall(
+        mesh=meshes[2], vertex_shader=vs, fragment_shader=plain,
+        position=Vec3(0.0, 0.0, 30.0),
+    )
+    transparent = DrawCall(
+        mesh=meshes[3], vertex_shader=vs, fragment_shader=plain,
+        position=Vec3(-1.0, 0.5, -8.0), scale=1.5, overdraw=2.0,
+        opaque=False, depth_layer=0,
+    )
+    drawn = (full_screen, occluded, behind, transparent)
+    schedule = [(), drawn, drawn, (), drawn[::-1], drawn]
+    frames = tuple(
+        Frame(frame_id=index, camera=Camera(), draw_calls=draw_calls)
+        for index, draw_calls in enumerate(schedule)
+    )
+    return WorkloadTrace.from_frames(
+        "edges", (vs,), (plain, sampled), meshes, textures, frames
+    )
+
+
+@pytest.mark.parametrize("mode", ["tbr", "tbdr", "imr"])
+def test_edge_trace_reaches_its_cases(mode):
+    trace = edge_trace()
+    config = GPUConfig(rendering_mode=mode)
+    work = compute_work_columns(trace.draws, trace.resources, config)
+    assert 0 in np.diff(work.offsets).tolist()
+    generated = work.fragments_generated
+    assert (generated == 0).any()
+    assert ((generated > 0) & (work.fragments_shaded == 0)).any()
+    schedule = [(fid, True) for fid in range(trace.frame_count)]
+    stream, _, _ = vector._lower(trace, schedule, config)
+    kind, lines = stream[0], stream[3]
+    texture_lines = lines[kind == vector._OP_TEXTURE]
+    assert texture_lines.max() > config.l2_cache.lines
+    between = (texture_lines > config.texture_cache.lines) & (
+        texture_lines <= config.l2_cache.lines
+    )
+    assert between.any()
+
+
+@pytest.mark.parametrize("mode", ["tbr", "tbdr", "imr"])
+@pytest.mark.parametrize("frame_ids,warmup", [
+    (None, 0), ([2, 4, 5], 2), ([1, 5], 3),
+])
+def test_edge_trace_parity(mode, frame_ids, warmup):
+    """vector equals scalar bit for bit on the lowering's corner cases."""
+    trace = edge_trace()
+    config = GPUConfig(rendering_mode=mode)
+    scalar = scalar_sim(config=config).simulate(trace, frame_ids, warmup)
+    vector_result = vector_sim(config=config).simulate(trace, frame_ids, warmup)
+    assert vector_result.frame_ids == scalar.frame_ids
+    assert vector_result.frame_stats == scalar.frame_stats
+
+
+@pytest.mark.parametrize("mode", ["tbr", "tbdr", "imr"])
+def test_lowering_refuses_zero_access_ops(monkeypatch, tiny_trace, mode):
+    """An op with zero accesses is refused, as RegionCache.access refuses
+    one (test_region_cache.py::test_invalid)."""
+
+    def no_vertices(draws, resources, config):
+        work = compute_work_columns(draws, resources, config)
+        return dataclasses.replace(
+            work, vertices_shaded=np.zeros_like(work.vertices_shaded)
+        )
+
+    monkeypatch.setattr(vector, "compute_work_columns", no_vertices)
+    config = GPUConfig(rendering_mode=mode)
+    with pytest.raises(SimulationError, match="zero lines or zero accesses"):
+        vector_sim(config=config).simulate(tiny_trace)
 
 
 class TestSampling:

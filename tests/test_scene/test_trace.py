@@ -1,10 +1,14 @@
 """Tests for trace validation, slicing and serialization."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.errors import TraceError
 from repro.scene.frame import Camera, Frame
 from repro.scene.shader import ShaderKind, ShaderProgram
+from repro.scene.table import ResourceColumns
 from repro.scene.trace import WorkloadTrace
 
 
@@ -129,3 +133,30 @@ class TestSerialization:
     def test_malformed_payload(self):
         with pytest.raises(TraceError):
             WorkloadTrace.from_dict({"name": "x"})
+
+
+class TestResourceColumns:
+    def test_texture_sample_table(self, tiny_trace):
+        resources = tiny_trace.resources
+        shader = tiny_trace.fragment_shaders[0]
+        assert resources.fs_sample_offsets.tolist() == [0, 1]
+        assert resources.sample_slot.tolist() == [
+            s.texture_slot for s in shader.texture_samples
+        ]
+        assert resources.sample_accesses.tolist() == [
+            s.filter_mode.memory_accesses for s in shader.texture_samples
+        ]
+        assert resources.sample_trilinear.tolist() == [False]
+        texture = tiny_trace.textures[0]
+        assert resources.texel_bytes.tolist() == [texture.texel_bytes]
+        assert resources.size_bytes.tolist() == [texture.size_bytes]
+
+    def test_texture_rows_follow_a_dict_of_the_table(self, texture):
+        textures = [
+            dataclasses.replace(texture, texture_id=texture_id, width=width)
+            for texture_id, width in ((7, 8), (2, 16), (7, 32), (0, 64))
+        ]
+        resources = ResourceColumns.of((), (), (), textures)
+        by_id = {t.texture_id: row for row, t in enumerate(textures)}
+        ids = np.array([0, 7, 2, 7, 0], dtype=np.int64)
+        assert resources.texture_rows(ids).tolist() == [by_id[i] for i in ids]
